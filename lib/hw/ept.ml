@@ -22,9 +22,12 @@ and entry = Table of node | Leaf of { page_size : Addr.page_size; perms : perms 
    mapped at that level) or through its level-1 PT node, in which case
    the per-4K answers are themselves resolved lazily into a 512-slot
    array — a warm lookup is two array reads and an int compare, no
-   hashing.  The cache carries the [writes] counter it was filled
-   under and self-invalidates wholesale when any leaf is installed or
-   removed. *)
+   hashing.  The cache is two flat arrays indexed by slot: the window
+   keys (an unboxed [int array], -1 = empty) and the entries, which
+   start as the shared constant [Uniform None], so building a table
+   allocates no per-slot record.  It carries the [writes] counter it
+   was filled under and self-invalidates wholesale when any leaf is
+   installed or removed. *)
 type walk_entry =
   | Uniform of (Addr.page_size * perms) option
   | Pt of {
@@ -33,8 +36,6 @@ type walk_entry =
           (* outer option: slot not resolved yet; inner: the walk's
              answer for that 4K page, including "unmapped" *)
     }
-
-type wslot = { mutable wkey : int; mutable wentry : walk_entry }
 
 let walk_cache_slots = 1024
 
@@ -47,7 +48,9 @@ type t = {
   mutable n4k : int;
   mutable n2m : int;
   mutable n1g : int;
-  walk_cache : wslot array option;
+  walk_cache : bool;
+  walk_keys : int array;  (* [||] when the cache is disabled *)
+  walk_entries : walk_entry array;
   mutable walk_cache_gen : int;
   mutable walk_hits : int;
   mutable walk_misses : int;
@@ -61,6 +64,7 @@ type t = {
 let next_uid = Atomic.make 0
 
 let create ?(max_page = Addr.Page_1g) ?(walk_cache = true) () =
+  let slots = if walk_cache then walk_cache_slots else 0 in
   {
     uid = 1 + Atomic.fetch_and_add next_uid 1;
     root = { entries = Hashtbl.create 16 };
@@ -70,12 +74,9 @@ let create ?(max_page = Addr.Page_1g) ?(walk_cache = true) () =
     n4k = 0;
     n2m = 0;
     n1g = 0;
-    walk_cache =
-      (if walk_cache then
-         Some
-           (Array.init walk_cache_slots (fun _ ->
-                { wkey = -1; wentry = Uniform None }))
-       else None);
+    walk_cache;
+    walk_keys = Array.make slots (-1);
+    walk_entries = Array.make slots (Uniform None);
     walk_cache_gen = 0;
     walk_hits = 0;
     walk_misses = 0;
@@ -108,107 +109,59 @@ let count_delta t page_size d =
   | Addr.Page_2m -> t.n2m <- t.n2m + d
   | Addr.Page_1g -> t.n1g <- t.n1g + d
 
-(* Install a leaf of [page_size] covering [addr] (which must be
-   aligned).  Any leaf already present at exactly that slot is
-   replaced; the caller is responsible for never asking to overwrite a
-   Table with a Leaf (map_region splits work so that cannot happen for
-   well-formed inputs). *)
-let install_leaf t addr ~page_size ~perms =
-  let target_level = level_of_page_size page_size in
-  let rec descend node level =
-    if level = target_level then begin
-      let idx = slice addr level in
-      (match Hashtbl.find_opt node.entries idx with
-      | Some (Leaf l) -> count_delta t l.page_size (-1)
-      | Some (Table _) ->
-          (* Mapping a large page over an existing finer table: drop
-             the subtree.  Count removal of its leaves. *)
-          let rec drop n =
-            Hashtbl.iter
-              (fun _ e ->
-                match e with
-                | Leaf l -> count_delta t l.page_size (-1)
-                | Table n' -> drop n')
-              n.entries
-          in
-          (match Hashtbl.find_opt node.entries idx with
-          | Some (Table n) -> drop n
-          | Some (Leaf _) | None -> ())
-      | None -> ());
-      Hashtbl.replace node.entries idx (Leaf { page_size; perms });
-      count_delta t page_size 1;
-      t.writes <- t.writes + 1
-    end
-    else
-      let idx = slice addr level in
-      let child =
-        match Hashtbl.find_opt node.entries idx with
-        | Some (Table n) -> n
-        | Some (Leaf _) ->
-            (* A larger leaf covers this range already; splitting is
-               handled by unmap/split paths, and map_region only emits
-               aligned chunks, so reaching here means the caller remaps
-               inside an existing large page.  Split it. *)
-            assert false
-        | None ->
-            let n = { entries = Hashtbl.create 16 } in
-            Hashtbl.replace node.entries idx (Table n);
-            n
-      in
-      descend child (level - 1)
-  in
-  descend t.root 4
+(* Count off every leaf under an entry that is about to be
+   overwritten: a replaced leaf, or all leaves of a finer table
+   dropped under a larger page. *)
+let rec count_off t = function
+  | Leaf l -> count_delta t l.page_size (-1)
+  | Table n -> Hashtbl.iter (fun _ e -> count_off t e) n.entries
 
-(* Bulk-fill one whole 2M window with 512 identity 4K leaves.  The
-   dense path map_region takes when coalescing is capped below 2M;
-   equivalent to 512 install_leaf calls into an empty window (counts
-   and [writes] advance identically) without re-descending from the
-   root per page or growing a 16-bucket table 512 times. *)
-let install_pt_window t addr ~perms =
-  let rec descend node level =
-    if level = 2 then begin
-      let idx = slice addr 2 in
-      let child =
-        match Hashtbl.find_opt node.entries idx with
-        | Some (Table n) -> n
-        | Some (Leaf _) -> assert false (* map_region cleared overlaps *)
-        | None ->
-            let n = { entries = Hashtbl.create 512 } in
-            Hashtbl.replace node.entries idx (Table n);
-            n
-      in
-      for i = 0 to 511 do
-        (match Hashtbl.find_opt child.entries i with
-        | Some (Leaf l) -> count_delta t l.page_size (-1)
-        | Some (Table _) -> assert false
-        | None -> ());
-        Hashtbl.replace child.entries i (Leaf { page_size = Addr.Page_4k; perms })
-      done;
-      count_delta t Addr.Page_4k 512;
-      t.writes <- t.writes + 512
-    end
+(* Install [count] consecutive leaves of [page_size] from [addr]
+   (aligned), all under one parent node: one descent from the root,
+   the parent pre-sized for the run when it is created here, and one
+   shared immutable leaf value.  Each slot keeps the per-leaf rule —
+   whatever it held is counted off, and [writes] advances by one per
+   leaf — so counts and [writes] match [count] single installs. *)
+let install_run t addr ~page_size ~count ~perms =
+  let level = level_of_page_size page_size in
+  let rec descend node l =
+    if l = level then node
     else
-      let idx = slice addr level in
-      let child =
-        match Hashtbl.find_opt node.entries idx with
-        | Some (Table n) -> n
-        | Some (Leaf _) -> assert false
-        | None ->
-            let n = { entries = Hashtbl.create 16 } in
-            Hashtbl.replace node.entries idx (Table n);
-            n
-      in
-      descend child (level - 1)
+      let idx = slice addr l in
+      match Hashtbl.find_opt node.entries idx with
+      | Some (Table n) -> descend n (l - 1)
+      | Some (Leaf _) ->
+          (* A larger leaf covers this range: map_region splits and
+             clears every overlap before installing, so this cannot
+             happen. *)
+          assert false
+      | None ->
+          let size = if l - 1 = level then max 16 count else 16 in
+          let n = { entries = Hashtbl.create size } in
+          Hashtbl.replace node.entries idx (Table n);
+          descend n (l - 1)
   in
-  descend t.root 4
+  let parent = descend t.root 4 in
+  let leaf = Leaf { page_size; perms } in
+  let first = slice addr level in
+  assert (first + count <= 512);
+  for idx = first to first + count - 1 do
+    (match Hashtbl.find_opt parent.entries idx with
+    | Some e -> count_off t e
+    | None -> ());
+    Hashtbl.replace parent.entries idx leaf
+  done;
+  count_delta t page_size count;
+  t.writes <- t.writes + count
 
 (* Split the leaf at slot [idx] of [node] (a level-[level] leaf) into
    512 identity children one level down, preserving permissions. *)
 let split_leaf t node idx level ~perms =
   let child = { entries = Hashtbl.create 512 } in
   let child_ps = page_size_of_level (level - 1) in
+  let leaf = Leaf { page_size = child_ps; perms } in
   for i = 0 to 511 do
-    Hashtbl.replace child.entries i (Leaf { page_size = child_ps; perms })
+    Hashtbl.replace child.entries i leaf
   done;
   count_delta t (page_size_of_level level) (-1);
   count_delta t child_ps 512;
@@ -273,50 +226,52 @@ let cov_tap : (int -> unit) ref = ref (fun _ -> ())
    covirt-lint check 6).  The wholesale invalidation scan is a plain
    loop — a closure there would charge every post-write translate. *)
 let find_leaf t addr =
-  match t.walk_cache with
-  | None ->
-      if !cov_on then !cov_tap 2;
-      find_leaf_uncached t addr
-  | Some cache ->
-      if t.walk_cache_gen <> t.writes then begin
-        for i = 0 to walk_cache_slots - 1 do
-          cache.(i).wkey <- -1
-        done;
-        t.walk_cache_gen <- t.writes
-      end;
-      let key = addr lsr 21 in
-      let s = cache.(key land (walk_cache_slots - 1)) in
-      if s.wkey = key then begin
-        t.walk_hits <- t.walk_hits + 1;
-        if !cov_on then !cov_tap 0;
-        if !Covirt_obs.Metrics.on then
-          Covirt_obs.Metrics.add (Lazy.force m_walk_hit) 1
-      end
-      else begin
-        t.walk_misses <- t.walk_misses + 1;
-        if !cov_on then !cov_tap 1;
-        if !Covirt_obs.Metrics.on then
-          Covirt_obs.Metrics.add (Lazy.force m_walk_miss) 1;
-        s.wentry <- fill_walk_entry t addr;
-        s.wkey <- key
-      end;
-      (match s.wentry with
-      | Uniform r -> r
-      | Pt { node; slots } -> (
-          let i = slice addr 1 in
-          match slots.(i) with
-          | Some r ->
-              if !cov_on then !cov_tap 3;
-              r
-          | None ->
-              if !cov_on then !cov_tap 4;
-              let r = pt_lookup node addr in
-              (* lint: allow warm-alloc — pt-slot cold fill: the boxed
-                 answer is stored and handed back unwrapped on later
-                 hits, so the [Some] is paid once per slot, not per
-                 translate. *)
-              slots.(i) <- Some r;
-              r))
+  if not t.walk_cache then begin
+    if !cov_on then !cov_tap 2;
+    find_leaf_uncached t addr
+  end
+  else begin
+    let keys = t.walk_keys in
+    if t.walk_cache_gen <> t.writes then begin
+      for i = 0 to walk_cache_slots - 1 do
+        keys.(i) <- -1
+      done;
+      t.walk_cache_gen <- t.writes
+    end;
+    let key = addr lsr 21 in
+    let s = key land (walk_cache_slots - 1) in
+    if keys.(s) = key then begin
+      t.walk_hits <- t.walk_hits + 1;
+      if !cov_on then !cov_tap 0;
+      if !Covirt_obs.Metrics.on then
+        Covirt_obs.Metrics.add (Lazy.force m_walk_hit) 1
+    end
+    else begin
+      t.walk_misses <- t.walk_misses + 1;
+      if !cov_on then !cov_tap 1;
+      if !Covirt_obs.Metrics.on then
+        Covirt_obs.Metrics.add (Lazy.force m_walk_miss) 1;
+      t.walk_entries.(s) <- fill_walk_entry t addr;
+      keys.(s) <- key
+    end;
+    match t.walk_entries.(s) with
+    | Uniform r -> r
+    | Pt { node; slots } -> (
+        let i = slice addr 1 in
+        match slots.(i) with
+        | Some r ->
+            if !cov_on then !cov_tap 3;
+            r
+        | None ->
+            if !cov_on then !cov_tap 4;
+            let r = pt_lookup node addr in
+            (* lint: allow warm-alloc — pt-slot cold fill: the boxed
+               answer is stored and handed back unwrapped on later
+               hits, so the [Some] is paid once per slot, not per
+               translate. *)
+            slots.(i) <- Some r;
+            r)
+  end
 
 let note_violation reason =
   if !cov_on then
@@ -430,41 +385,34 @@ let remove_leaves t region =
   in
   scrub t.root 4 (fun i -> i * (1 lsl level_shift 4))
 
-(* Greedy aligned chunking, installed as we go: the largest permitted
-   page that is aligned and fits, with the dense sub-2M case handed to
-   install_pt_window rather than 512 root descents. *)
+(* Greedy aligned chunking: at each address, the largest permitted
+   page that is aligned and fits.  Consecutive leaves of one size
+   under one parent node (2M leaves inside a 1G window, 4K leaves
+   inside a 2M window, 1G leaves inside a 512G window) go in as one
+   [install_run] — the same leaves a leaf-at-a-time loop would
+   produce, with one descent per run instead of one per leaf. *)
 let install_range t region ~perms =
-  let open Region in
   let cap = Addr.bytes_of_page_size t.max_page in
-  let lim = limit region in
+  let lim = Region.limit region in
+  let fits addr size =
+    cap >= size && Addr.is_aligned addr ~size && lim - addr >= size
+  in
   let rec go addr =
     if addr < lim then begin
-      let remaining = lim - addr in
-      if
-        cap >= Addr.page_size_1g
-        && Addr.is_aligned addr ~size:Addr.page_size_1g
-        && remaining >= Addr.page_size_1g
-      then begin
-        install_leaf t addr ~page_size:Addr.Page_1g ~perms;
-        go (addr + Addr.page_size_1g)
-      end
-      else if
-        Addr.is_aligned addr ~size:Addr.page_size_2m
-        && remaining >= Addr.page_size_2m
-      then begin
-        if cap >= Addr.page_size_2m then
-          install_leaf t addr ~page_size:Addr.Page_2m ~perms
-        else install_pt_window t addr ~perms;
-        go (addr + Addr.page_size_2m)
-      end
-      else if Addr.is_aligned addr ~size:Addr.page_size_4k then begin
-        install_leaf t addr ~page_size:Addr.Page_4k ~perms;
-        go (addr + Addr.page_size_4k)
-      end
-      else invalid_arg "Ept: region not 4K-aligned"
+      let page_size =
+        if fits addr Addr.page_size_1g then Addr.Page_1g
+        else if fits addr Addr.page_size_2m then Addr.Page_2m
+        else Addr.Page_4k
+      in
+      let bytes = Addr.bytes_of_page_size page_size in
+      let span = 512 * bytes in
+      let parent_end = Addr.page_down addr ~size:span + span in
+      let count = (min lim parent_end - addr) / bytes in
+      install_run t addr ~page_size ~count ~perms;
+      go (addr + (count * bytes))
     end
   in
-  go region.base
+  go region.Region.base
 
 let map_region t ?(perms = rwx) region =
   if not (aligned_4k region) then invalid_arg "Ept.map_region: unaligned";

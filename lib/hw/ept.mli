@@ -18,15 +18,27 @@
 
     - a {e paging-structure walk cache} memoizing how each 2M-aligned
       GPA window resolves (a uniform >=2M leaf / unmapped, or its
-      level-1 PT node), so a warm [translate] is one or two hash
-      probes instead of a four-level descent;
+      level-1 PT node, whose per-4K answers fill a 512-slot array on
+      first use), so a warm [translate] is two array reads and an int
+      compare instead of a four-level descent.  The cache is flat: a
+      1024-slot [int array] of window keys beside an array of entries
+      that starts out as one shared constant, so [create] allocates
+      no per-slot record (both arrays go straight to the major heap);
     - a [covers] memo keyed by [(base, len)].
 
     Both are invalidated wholesale by the generation counter — the
     [entry_writes] tally, which every leaf install and removal bumps —
     so cached answers are always those the uncached walk would give
     (asserted by a property test over random map/unmap/access
-    sequences). *)
+    sequences).
+
+    [map_region] installs its greedy chunks run by run: consecutive
+    leaves of one size under one parent node (the 2M leaves of a 1G
+    window, the 4K leaves of a 2M window) take one descent from the
+    root, a parent pre-sized for the run when the run creates it, and
+    one shared immutable leaf value.  Leaves, [fold_leaves] order,
+    [leaf_counts] and [entry_writes] are exactly those of installing
+    the chunks one by one. *)
 
 type perms = { read : bool; write : bool; exec : bool }
 (** Leaf permissions. *)

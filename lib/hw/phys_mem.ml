@@ -120,6 +120,10 @@ let owned_by t owner =
     t.assignments
   |> Region.Set.of_list
 
+let owns_range t ~owner region =
+  Region.Set.mem_range (owned_by t owner) ~base:region.Region.base
+    ~len:region.Region.len
+
 let free_bytes t ~zone =
   let zr = Numa.zone_range t.topology zone in
   Region.Set.total_bytes

@@ -38,6 +38,12 @@ val owner_at : t -> Addr.t -> Owner.t
 (** Device MMIO windows report [Device]; out-of-range addresses are
     also treated as device space (the machine maps MMIO above DRAM). *)
 
+val owns_range : t -> owner:Owner.t -> Region.t -> bool
+(** Every byte of the region is assigned to [owner]; unassigned bytes
+    (free memory, unregistered MMIO) fail.  One pass over the
+    assignments; for any [owner] but [Free] this is [owner_at]
+    checked byte by byte. *)
+
 val owned_by : t -> Owner.t -> Region.Set.t
 val free_bytes : t -> zone:Numa.zone -> int
 

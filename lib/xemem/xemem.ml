@@ -18,17 +18,9 @@ let owner_of_exporter = function
 let export t ~exporter ~name ~pages =
   let machine = Pisces.machine t.pisces in
   let expected = owner_of_exporter exporter in
-  let owned r =
-    (* Every frame of the segment must belong to the exporter in the
-       host's authoritative ownership map. *)
-    let rec check addr =
-      if addr >= Region.limit r then true
-      else
-        Owner.equal (Phys_mem.owner_at machine.Machine.mem addr) expected
-        && check (addr + Addr.page_size_4k)
-    in
-    check r.Region.base
-  in
+  (* Every frame of the segment must belong to the exporter in the
+     host's authoritative ownership map. *)
+  let owned r = Phys_mem.owns_range machine.Machine.mem ~owner:expected r in
   if not (List.for_all owned pages) then
     Error "exporter does not own all pages of the segment"
   else

@@ -218,6 +218,49 @@ let test_phys_mem_assign () =
   Alcotest.(check bool) "double assign fails" true
     (Result.is_error (Phys_mem.assign mem ~owner:(Owner.Enclave 3) r))
 
+(* [owns_range] agrees with [owner_at] checked frame by frame, over
+   random assign/chown/release histories in zone 0 and probes that
+   straddle the host reservation, enclave blocks and free memory. *)
+let prop_owns_range_matches_frames =
+  let owners = [| Owner.Host; Owner.Enclave 1; Owner.Enclave 2 |] in
+  let gen =
+    QCheck2.Gen.(
+      let region =
+        let+ base = int_range 0 299 and+ len = int_range 1 40 in
+        Region.make ~base:(base * mib) ~len:(len * mib)
+      in
+      let op =
+        triple (oneofl [ `Assign; `Chown; `Release ]) (int_range 0 2) region
+      in
+      let probe =
+        let+ owner = int_range 0 2
+        and+ base = int_range 0 (320 * 256)
+        and+ pages = int_range 1 4096 in
+        (owner, Region.make ~base:(base * 4096) ~len:(pages * 4096))
+      in
+      pair (list_size (int_range 0 12) op) (list_size (int_range 1 20) probe))
+  in
+  Covirt_test_util.Helpers.qtest ~count:100 "owns_range = per-frame owner_at"
+    gen (fun (ops, probes) ->
+      let mem = mk_mem () in
+      List.iter
+        (fun (op, o, r) ->
+          match op with
+          | `Assign -> ignore (Phys_mem.assign mem ~owner:owners.(o) r)
+          | `Chown -> Phys_mem.chown mem r owners.(o)
+          | `Release -> Phys_mem.release mem r)
+        ops;
+      List.for_all
+        (fun (o, r) ->
+          let owner = owners.(o) in
+          let rec frames addr =
+            addr >= Region.limit r
+            || Owner.equal (Phys_mem.owner_at mem addr) owner
+               && frames (addr + 4096)
+          in
+          Phys_mem.owns_range mem ~owner r = frames r.Region.base)
+        probes)
+
 let () =
   Alcotest.run "hw"
     [
@@ -256,5 +299,6 @@ let () =
           Alcotest.test_case "free accounting" `Quick test_phys_mem_free_accounting;
           Alcotest.test_case "devices" `Quick test_phys_mem_devices;
           Alcotest.test_case "assign" `Quick test_phys_mem_assign;
+          prop_owns_range_matches_frames;
         ] );
     ]

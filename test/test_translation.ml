@@ -105,22 +105,41 @@ let test_covers_memo_invalidation () =
 (* Property: with the walk cache on, every translate in a random
    map/unmap/translate interleaving answers exactly as the uncached
    reference does — including probes of stale windows right after the
-   mutation that invalidated them. *)
+   mutation that invalidated them.  Regions are drawn at 4K grain
+   (2M cap) or at 2M grain (2M or 1G cap, reaching past 3G, so one
+   region can span several page directories); probes step one grain
+   at a time with a varying in-page offset. *)
 let gen_ops =
   QCheck2.Gen.(
-    list_size (int_range 1 25)
-      (triple (oneofl [ `Map; `Unmap; `Probe ]) (int_range 0 600)
-         (int_range 1 64)))
+    let* grain, max_page =
+      oneofl
+        [ (k4, Addr.Page_2m); (m2, Addr.Page_2m); (m2, Addr.Page_1g) ]
+    in
+    let+ ops =
+      list_size (int_range 1 25)
+        (triple (oneofl [ `Map; `Unmap; `Probe ]) (int_range 0 1600)
+           (int_range 1 600))
+    in
+    (grain, max_page, ops))
+
+let print_ops (grain, _, ops) =
+  String.concat " "
+    (List.map
+       (fun (op, page, pages) ->
+         Printf.sprintf "%s(%d,%d)"
+           (match op with `Map -> "map" | `Unmap -> "unmap" | `Probe -> "probe")
+           (page * grain) (pages * grain))
+       ops)
 
 let prop_cached_equals_uncached =
   Covirt_test_util.Helpers.qtest ~count:80 "cached translate = uncached"
-    gen_ops
-    (fun ops ->
-      let cached = Ept.create ~max_page:Addr.Page_2m () in
-      let plain = Ept.create ~max_page:Addr.Page_2m ~walk_cache:false () in
+    ~print:print_ops gen_ops
+    (fun (grain, max_page, ops) ->
+      let cached = Ept.create ~max_page () in
+      let plain = Ept.create ~max_page ~walk_cache:false () in
       List.for_all
         (fun (op, page, pages) ->
-          let r = Region.make ~base:(page * k4) ~len:(pages * k4) in
+          let r = Region.make ~base:(page * grain) ~len:(pages * grain) in
           match op with
           | `Map ->
               Ept.map_region cached r;
@@ -133,11 +152,147 @@ let prop_cached_equals_uncached =
           | `Probe ->
               List.for_all
                 (fun i ->
-                  let addr = (page + i) * k4 in
+                  let addr = ((page + i) * grain) + (i * k4 mod grain) in
                   Ept.translate cached addr ~access:`Read
                   = Ept.translate plain addr ~access:`Read)
                 (List.init 80 Fun.id))
         ops)
+
+(* ------------------------------------------------------------------ *)
+(* [map_region]/[unmap_region] against a pure model: the leaf set as a
+   sorted list of (base, page size, perms).  A mutation splits every
+   leaf that straddles the region one level down (recursively), drops
+   the leaves inside it and, for a map, adds the greedy aligned chunks
+   of the region.  Entry writes are predicted alongside: 512 per split
+   and one per removed or installed leaf. *)
+
+let g1 = Addr.page_size_1g
+
+let greedy_chunks ~max_page region =
+  let cap = Addr.bytes_of_page_size max_page in
+  let lim = Region.limit region in
+  let rec go addr acc =
+    if addr >= lim then List.rev acc
+    else
+      let fits size = cap >= size && addr mod size = 0 && lim - addr >= size in
+      let ps =
+        if fits g1 then Addr.Page_1g
+        else if fits m2 then Addr.Page_2m
+        else Addr.Page_4k
+      in
+      go (addr + Addr.bytes_of_page_size ps) ((addr, ps) :: acc)
+  in
+  go region.Region.base []
+
+let smaller = function
+  | Addr.Page_1g -> Addr.Page_2m
+  | Addr.Page_2m -> Addr.Page_4k
+  | Addr.Page_4k -> invalid_arg "smaller: 4K leaves never straddle"
+
+(* Leaves outside [region] after splitting, plus the writes spent. *)
+let rec carve region (base, ps, perms) (kept, writes) =
+  let len = Addr.bytes_of_page_size ps in
+  let leaf = Region.make ~base ~len in
+  if not (Region.overlaps leaf region) then ((base, ps, perms) :: kept, writes)
+  else if Region.contains_range region ~base ~len then (kept, writes + 1)
+  else
+    let child = smaller ps in
+    let cb = Addr.bytes_of_page_size child in
+    List.fold_left
+      (fun acc i -> carve region (base + (i * cb), child, perms) acc)
+      (kept, writes + 512)
+      (List.init 512 Fun.id)
+
+let model_step ~max_page (leaves, writes) op =
+  let clear region =
+    List.fold_left (fun acc l -> carve region l acc) ([], writes) leaves
+  in
+  let leaves, writes =
+    match op with
+    | `Unmap region -> clear region
+    | `Map (perms, region) ->
+        let kept, writes = clear region in
+        let chunks = greedy_chunks ~max_page region in
+        ( List.map (fun (b, ps) -> (b, ps, perms)) chunks @ kept,
+          writes + List.length chunks )
+  in
+  (List.sort (fun (a, _, _) (b, _, _) -> compare a b) leaves, writes)
+
+(* Regions near the 1G boundaries at 1G/2G/3G: a base on a 4K, 2M or
+   1G grain up to [span] either side of the boundary, and a length on
+   its own grain.  The 4K cap keeps to a 16 MiB band so leaf counts
+   stay small. *)
+let gen_model_region ~max_page =
+  QCheck2.Gen.(
+    let big = max_page <> Addr.Page_4k in
+    let span = if big then 3 * g1 else 16 * mib in
+    let grain = if big then oneofl [ k4; m2; g1 ] else oneofl [ k4; 64 * k4 ] in
+    let* anchor = int_range 1 3 and* bg = grain and* lg = grain in
+    let* off = int_range (-(span / bg)) (span / bg)
+    and* n = int_range 1 (span / lg) in
+    let base = max 0 ((anchor * g1) + (off * bg)) in
+    return (Region.make ~base ~len:(n * lg)))
+
+let gen_model_case =
+  QCheck2.Gen.(
+    let* max_page = oneofl [ Addr.Page_1g; Addr.Page_2m; Addr.Page_4k ] in
+    let op =
+      let* region = gen_model_region ~max_page in
+      oneof
+        [
+          return (`Map (Ept.rwx, region));
+          return (`Map (Ept.ro, region));
+          return (`Unmap region);
+        ]
+    in
+    let+ ops = list_size (int_range 1 6) op in
+    (max_page, ops))
+
+let print_model_case (max_page, ops) =
+  Format.asprintf "cap %a: %s" Addr.pp_page_size max_page
+    (String.concat " "
+       (List.map
+          (function
+            | `Map (p, r) ->
+                Format.asprintf "map%s %a" (if p = Ept.ro then "-ro" else "")
+                  Region.pp r
+            | `Unmap r -> Format.asprintf "unmap %a" Region.pp r)
+          ops))
+
+let prop_map_matches_model =
+  Covirt_test_util.Helpers.qtest ~count:150 "map_region = greedy-chunk model"
+    ~print:print_model_case gen_model_case
+    (fun (max_page, ops) ->
+      let ept = Ept.create ~max_page () in
+      let leaves, writes =
+        List.fold_left
+          (fun st op ->
+            (match op with
+            | `Map (perms, r) -> Ept.map_region ept ~perms r
+            | `Unmap r -> Ept.unmap_region ept r);
+            model_step ~max_page st op)
+          ([], 0) ops
+      in
+      let actual =
+        Ept.fold_leaves ept ~init:[] ~f:(fun acc ~base ~page_size ~perms ->
+            (base, page_size, perms) :: acc)
+        |> List.rev
+      in
+      let count ps =
+        List.length (List.filter (fun (_, p, _) -> p = ps) leaves)
+      in
+      let union =
+        Region.Set.of_list
+          (List.map
+             (fun (base, ps, _) ->
+               Region.make ~base ~len:(Addr.bytes_of_page_size ps))
+             leaves)
+      in
+      actual = leaves
+      && Ept.leaf_counts ept
+         = (count Addr.Page_4k, count Addr.Page_2m, count Addr.Page_1g)
+      && Ept.entry_writes ept = writes
+      && Region.Set.equal (Ept.regions ept) union)
 
 (* ------------------------------------------------------------------ *)
 
@@ -335,6 +490,31 @@ let test_fleet_sharded_zero_alloc () =
           words)
     [ 1; 2; 7 ]
 
+(* Construction cost: a fresh table allocates no per-slot walk-cache
+   records (the cache is two flat arrays, both too large for the minor
+   heap), and Kitten's direct map of a 7092 MiB node — 6 1G leaves and
+   474 2M leaves in one 1G window — installs the 2M run with one
+   descent and one shared leaf value. *)
+let minor_words_per_call f =
+  let reps = 200 in
+  for _ = 1 to 8 do ignore (Sys.opaque_identity (f ())) done;
+  let before = Gc.minor_words () in
+  for _ = 1 to reps do ignore (Sys.opaque_identity (f ())) done;
+  (Gc.minor_words () -. before) /. float_of_int reps
+
+let check_construction_words name ~limit f =
+  if native then
+    let words = minor_words_per_call f in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f minor words <= %.0f" name words limit)
+      true (words <= limit)
+
+let test_construction_alloc () =
+  check_construction_words "Ept.create ()" ~limit:128. (fun () ->
+      Ept.create ());
+  check_construction_words "Guest_pt.direct_map 7092 MiB" ~limit:4096.
+    (fun () -> Guest_pt.direct_map ~total_mem:(7092 * mib))
+
 (* ------------------------------------------------------------------ *)
 (* The walk-cache generation counter must never move on read-only
    paths — a read that bumped it would re-invalidate the cache on
@@ -420,6 +600,7 @@ let () =
           Alcotest.test_case "covers-memo invalidation" `Quick
             test_covers_memo_invalidation;
           prop_cached_equals_uncached;
+          prop_map_matches_model;
         ] );
       ( "charge memo",
         [
@@ -442,6 +623,8 @@ let () =
             test_charge_zero_alloc_obs_on;
           Alcotest.test_case "fleet shards, domains 1/2/7" `Quick
             test_fleet_sharded_zero_alloc;
+          Alcotest.test_case "table construction" `Quick
+            test_construction_alloc;
         ] );
       ( "warm-path regressions",
         [

@@ -54,6 +54,6 @@ let expect_panic name f =
   | exception Machine.Node_panic _ -> ()
   | _ -> Alcotest.failf "%s: expected Node_panic" name
 
-let qtest ?(count = 200) name gen prop =
+let qtest ?(count = 200) ?print name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name ~count gen prop)
+    (QCheck2.Test.make ?print ~name ~count gen prop)
