@@ -54,6 +54,9 @@ let dropped_ipis t ~enclave_id =
   | None ->
       Option.value ~default:0 (Hashtbl.find_opt t.archived_drops enclave_id)
 
+let archived_count t =
+  Hashtbl.length t.archived + Hashtbl.length t.archived_drops
+
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
 (* Fault-report observability: a per-kind counter and an instant on the
@@ -283,11 +286,16 @@ let on_vector_revoke t enclave ~vector ~dest =
 let on_destroyed t enclave =
   (match instance_for t ~enclave_id:enclave.Enclave.id with
   | Some i ->
-      Hashtbl.replace t.archived enclave.Enclave.id i.reports;
+      (* Only non-empty records are archived: the lookups default to
+         no reports and 0 drops, and storing those for every destroy
+         would grow both tables by one entry per enclave under churn. *)
+      if i.reports <> [] then
+        Hashtbl.replace t.archived enclave.Enclave.id i.reports;
       (* The whitelist dies with the instance; keep its dropped-IPI
          count so post-mortem queries stay truthful. *)
-      Hashtbl.replace t.archived_drops enclave.Enclave.id
-        (Whitelist.dropped i.whitelist)
+      let drops = Whitelist.dropped i.whitelist in
+      if drops > 0 then
+        Hashtbl.replace t.archived_drops enclave.Enclave.id drops
   | None -> ());
   t.instances <-
     List.filter (fun (id, _) -> id <> enclave.Enclave.id) t.instances;

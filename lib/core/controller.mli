@@ -64,6 +64,11 @@ val reports_for : t -> enclave_id:int -> Fault_report.t list
 (** Dropped-IPI count for a live enclave, or the archived count for a
     destroyed one (the whitelist's counter is preserved at teardown). *)
 val dropped_ipis : t -> enclave_id:int -> int
+val archived_count : t -> int
+(** Entries held in the post-mortem archive: one per destroyed enclave
+    that left reports, plus one per destroyed enclave that dropped
+    IPIs.  A destroyed enclave with neither leaves nothing behind. *)
+
 val total_flush_commands : t -> int
 val detach : t -> unit
 (** Unregister the boot interposer and remove {e this controller's}

@@ -11,23 +11,57 @@ type violation = {
 
 (* The radix is indexed by 9-bit slices of the guest-physical address:
    level 4 = PML4 (512G per entry), 3 = PDPT (1G), 2 = PD (2M),
-   1 = PT (4K).  Leaves may sit at levels 3 (1G), 2 (2M) and 1 (4K). *)
+   1 = PT (4K).  Leaves may sit at levels 3 (1G), 2 (2M) and 1 (4K).
 
-type node = { entries : (int, entry) Hashtbl.t }
-and entry = Table of node | Leaf of { page_size : Addr.page_size; perms : perms }
+   A node's 512 slots are eight 64-slot parts, each allocated on its
+   first write; a part never written is the shared [empty_part], which
+   nothing ever writes to.  A read is two array loads, and no block a
+   node allocates exceeds 65 words: OCaml allocates anything over 256
+   words directly in the major heap, far dearer than the minor heap
+   for tables that churn with their enclaves.  [live] counts the
+   slots that are not [Empty]. *)
+type node = { parts : entry array array; mutable live : int }
+
+and entry =
+  | Empty
+  | Table of node
+  | Leaf of { page_size : Addr.page_size; perms : perms }
+
+let part_bits = 6
+let part_slots = 1 lsl part_bits
+let node_parts = 512 / part_slots
+let empty_part : entry array = Array.make part_slots Empty
+let new_node () = { parts = Array.make node_parts empty_part; live = 0 }
+let get node idx = node.parts.(idx lsr part_bits).(idx land (part_slots - 1))
+
+(* Store a non-[Empty] entry, allocating its part on first write. *)
+let set node idx e =
+  let p = idx lsr part_bits in
+  if node.parts.(p) == empty_part then
+    node.parts.(p) <- Array.make part_slots Empty;
+  let part = node.parts.(p) in
+  let i = idx land (part_slots - 1) in
+  if part.(i) == Empty then node.live <- node.live + 1;
+  part.(i) <- e
+
+(* Empty a slot that holds an entry. *)
+let clear node idx =
+  node.parts.(idx lsr part_bits).(idx land (part_slots - 1)) <- Empty;
+  node.live <- node.live - 1
 
 (* Paging-structure walk cache: what the hardware's PDE/PDPTE caches
    buy a real walker.  Direct-mapped by the 2M-aligned window of the
    GPA; a window resolves either uniformly (a >=2M leaf, or nothing
    mapped at that level) or through its level-1 PT node, in which case
    the per-4K answers are themselves resolved lazily into a 512-slot
-   array — a warm lookup is two array reads and an int compare, no
-   hashing.  The cache is two flat arrays indexed by slot: the window
-   keys (an unboxed [int array], -1 = empty) and the entries, which
-   start as the shared constant [Uniform None], so building a table
-   allocates no per-slot record.  It carries the [writes] counter it
-   was filled under and self-invalidates wholesale when any leaf is
-   installed or removed. *)
+   array — a warm lookup is a few array reads and an int compare, no
+   hashing.  The 1024 slots are 16 chunks of 64, each a window-key
+   chunk (an unboxed [int array], -1 = empty) beside an entry chunk;
+   a chunk is allocated on its first fill, and until then its key
+   chunk is the shared all-empty [no_keys], so building a table
+   allocates no slot storage at all.  The cache carries the [writes]
+   counter it was filled under and self-invalidates wholesale when
+   any leaf is installed or removed. *)
 type walk_entry =
   | Uniform of (Addr.page_size * perms) option
   | Pt of {
@@ -38,6 +72,10 @@ type walk_entry =
     }
 
 let walk_cache_slots = 1024
+let walk_chunk_bits = 6
+let walk_chunk_slots = 1 lsl walk_chunk_bits
+let walk_chunks = walk_cache_slots / walk_chunk_slots
+let no_keys = Array.make walk_chunk_slots (-1)
 
 type t = {
   uid : int;
@@ -49,8 +87,9 @@ type t = {
   mutable n2m : int;
   mutable n1g : int;
   walk_cache : bool;
-  walk_keys : int array;  (* [||] when the cache is disabled *)
-  walk_entries : walk_entry array;
+  walk_keys : int array array;  (* [||] when the cache is disabled *)
+  walk_entries : walk_entry array array;
+      (* [||] chunks until filled; only read behind a key match *)
   mutable walk_cache_gen : int;
   mutable walk_hits : int;
   mutable walk_misses : int;
@@ -64,10 +103,10 @@ type t = {
 let next_uid = Atomic.make 0
 
 let create ?(max_page = Addr.Page_1g) ?(walk_cache = true) () =
-  let slots = if walk_cache then walk_cache_slots else 0 in
+  let chunks = if walk_cache then walk_chunks else 0 in
   {
     uid = 1 + Atomic.fetch_and_add next_uid 1;
-    root = { entries = Hashtbl.create 16 };
+    root = new_node ();
     max_page;
     index = Region.Set.empty;
     writes = 0;
@@ -75,8 +114,8 @@ let create ?(max_page = Addr.Page_1g) ?(walk_cache = true) () =
     n2m = 0;
     n1g = 0;
     walk_cache;
-    walk_keys = Array.make slots (-1);
-    walk_entries = Array.make slots (Uniform None);
+    walk_keys = Array.make chunks no_keys;
+    walk_entries = Array.make chunks [||];
     walk_cache_gen = 0;
     walk_hits = 0;
     walk_misses = 0;
@@ -113,32 +152,32 @@ let count_delta t page_size d =
    overwritten: a replaced leaf, or all leaves of a finer table
    dropped under a larger page. *)
 let rec count_off t = function
+  | Empty -> ()
   | Leaf l -> count_delta t l.page_size (-1)
-  | Table n -> Hashtbl.iter (fun _ e -> count_off t e) n.entries
+  | Table n -> Array.iter (Array.iter (count_off t)) n.parts
 
 (* Install [count] consecutive leaves of [page_size] from [addr]
-   (aligned), all under one parent node: one descent from the root,
-   the parent pre-sized for the run when it is created here, and one
-   shared immutable leaf value.  Each slot keeps the per-leaf rule —
-   whatever it held is counted off, and [writes] advances by one per
-   leaf — so counts and [writes] match [count] single installs. *)
+   (aligned), all under one parent node: one descent from the root
+   and one shared immutable leaf value.  Each slot keeps the per-leaf
+   rule — whatever it held is counted off, and [writes] advances by
+   one per leaf — so counts and [writes] match [count] single
+   installs. *)
 let install_run t addr ~page_size ~count ~perms =
   let level = level_of_page_size page_size in
   let rec descend node l =
     if l = level then node
     else
       let idx = slice addr l in
-      match Hashtbl.find_opt node.entries idx with
-      | Some (Table n) -> descend n (l - 1)
-      | Some (Leaf _) ->
+      match get node idx with
+      | Table n -> descend n (l - 1)
+      | Leaf _ ->
           (* A larger leaf covers this range: map_region splits and
              clears every overlap before installing, so this cannot
              happen. *)
           assert false
-      | None ->
-          let size = if l - 1 = level then max 16 count else 16 in
-          let n = { entries = Hashtbl.create size } in
-          Hashtbl.replace node.entries idx (Table n);
+      | Empty ->
+          let n = new_node () in
+          set node idx (Table n);
           descend n (l - 1)
   in
   let parent = descend t.root 4 in
@@ -146,60 +185,69 @@ let install_run t addr ~page_size ~count ~perms =
   let first = slice addr level in
   assert (first + count <= 512);
   for idx = first to first + count - 1 do
-    (match Hashtbl.find_opt parent.entries idx with
-    | Some e -> count_off t e
-    | None -> ());
-    Hashtbl.replace parent.entries idx leaf
+    count_off t (get parent idx);
+    set parent idx leaf
   done;
   count_delta t page_size count;
   t.writes <- t.writes + count
 
 (* Split the leaf at slot [idx] of [node] (a level-[level] leaf) into
-   512 identity children one level down, preserving permissions. *)
+   512 identity children one level down, preserving permissions: every
+   part of the child holds the one shared leaf.  Returns the child. *)
 let split_leaf t node idx level ~perms =
-  let child = { entries = Hashtbl.create 512 } in
   let child_ps = page_size_of_level (level - 1) in
   let leaf = Leaf { page_size = child_ps; perms } in
-  for i = 0 to 511 do
-    Hashtbl.replace child.entries i leaf
-  done;
+  let child =
+    {
+      parts = Array.init node_parts (fun _ -> Array.make part_slots leaf);
+      live = 512;
+    }
+  in
   count_delta t (page_size_of_level level) (-1);
   count_delta t child_ps 512;
   t.writes <- t.writes + 512;
-  Hashtbl.replace node.entries idx (Table child)
+  set node idx (Table child);
+  child
 
 let find_leaf_uncached t addr =
   let rec descend node level =
     if level = 0 then None
     else
-      match Hashtbl.find_opt node.entries (slice addr level) with
-      | None -> None
-      | Some (Leaf { page_size; perms }) -> Some (page_size, perms)
-      | Some (Table n) -> descend n (level - 1)
+      match get node (slice addr level) with
+      | Empty -> None
+      | Leaf { page_size; perms } -> Some (page_size, perms)
+      | Table n -> descend n (level - 1)
   in
   descend t.root 4
 
 let pt_lookup node addr =
-  match Hashtbl.find_opt node.entries (slice addr 1) with
-  | Some (Leaf { page_size; perms }) -> Some (page_size, perms)
-  | Some (Table _) -> assert false (* level 0 cannot be a table *)
-  | None -> None
+  match get node (slice addr 1) with
+  | Leaf { page_size; perms } -> Some (page_size, perms)
+  | Table _ -> assert false (* level 0 cannot be a table *)
+  | Empty -> None
 
 (* Walk once, remembering how the 2M window resolves. *)
 let fill_walk_entry t addr =
   let rec descend node level =
-    if level = 2 then
-      match Hashtbl.find_opt node.entries (slice addr 2) with
-      | None -> Uniform None
-      | Some (Leaf { page_size; perms }) -> Uniform (Some (page_size, perms))
-      | Some (Table n) -> Pt { node = n; slots = Array.make 512 None }
-    else
-      match Hashtbl.find_opt node.entries (slice addr level) with
-      | None -> Uniform None
-      | Some (Leaf { page_size; perms }) -> Uniform (Some (page_size, perms))
-      | Some (Table n) -> descend n (level - 1)
+    match get node (slice addr level) with
+    | Empty -> Uniform None
+    | Leaf { page_size; perms } -> Uniform (Some (page_size, perms))
+    | Table n ->
+        if level = 2 then Pt { node = n; slots = Array.make 512 None }
+        else descend n (level - 1)
   in
   descend t.root 4
+
+(* Fill walk-cache slot [i] of chunk [c] for [key], allocating the
+   chunk on its first fill.  Kept out of the warm region below: it is
+   the miss path. *)
+let fill_walk t c i key addr =
+  if t.walk_keys.(c) == no_keys then begin
+    t.walk_keys.(c) <- Array.make walk_chunk_slots (-1);
+    t.walk_entries.(c) <- Array.make walk_chunk_slots (Uniform None)
+  end;
+  t.walk_entries.(c).(i) <- fill_walk_entry t addr;
+  t.walk_keys.(c).(i) <- key
 
 (* Observability cells for the walk-cache hit/miss path and for
    translation violations; interned once, guarded by one branch. *)
@@ -219,28 +267,33 @@ let m_violation =
 let cov_on = ref false
 let cov_tap : (int -> unit) ref = ref (fun _ -> ())
 
-(* warm-begin: allocation-free walk.  A warm [find_leaf] is two array
-   reads and an int compare; the per-4K slot answers are the stored
-   [(page_size * perms) option] values themselves, so nothing on the
-   hit path allocates (enforced by the bench allocation gate and
-   covirt-lint check 6).  The wholesale invalidation scan is a plain
-   loop — a closure there would charge every post-write translate. *)
+(* warm-begin: allocation-free walk.  A warm [find_leaf] is a chunk
+   read, a key read and an int compare; the per-4K slot answers are
+   the stored [(page_size * perms) option] values themselves, so
+   nothing on the hit path allocates (enforced by the bench allocation
+   gate and covirt-lint check 6).  The wholesale invalidation scan is
+   a plain loop over the allocated chunks — a closure there would
+   charge every post-write translate. *)
 let find_leaf t addr =
   if not t.walk_cache then begin
     if !cov_on then !cov_tap 2;
     find_leaf_uncached t addr
   end
   else begin
-    let keys = t.walk_keys in
     if t.walk_cache_gen <> t.writes then begin
-      for i = 0 to walk_cache_slots - 1 do
-        keys.(i) <- -1
+      for c = 0 to walk_chunks - 1 do
+        let keys = t.walk_keys.(c) in
+        if keys != no_keys then
+          for i = 0 to walk_chunk_slots - 1 do
+            keys.(i) <- -1
+          done
       done;
       t.walk_cache_gen <- t.writes
     end;
     let key = addr lsr 21 in
     let s = key land (walk_cache_slots - 1) in
-    if keys.(s) = key then begin
+    let c = s lsr walk_chunk_bits and i = s land (walk_chunk_slots - 1) in
+    if t.walk_keys.(c).(i) = key then begin
       t.walk_hits <- t.walk_hits + 1;
       if !cov_on then !cov_tap 0;
       if !Covirt_obs.Metrics.on then
@@ -251,14 +304,13 @@ let find_leaf t addr =
       if !cov_on then !cov_tap 1;
       if !Covirt_obs.Metrics.on then
         Covirt_obs.Metrics.add (Lazy.force m_walk_miss) 1;
-      t.walk_entries.(s) <- fill_walk_entry t addr;
-      keys.(s) <- key
+      fill_walk t c i key addr
     end;
-    match t.walk_entries.(s) with
+    match t.walk_entries.(c).(i) with
     | Uniform r -> r
     | Pt { node; slots } -> (
-        let i = slice addr 1 in
-        match slots.(i) with
+        let j = slice addr 1 in
+        match slots.(j) with
         | Some r ->
             if !cov_on then !cov_tap 3;
             r
@@ -269,7 +321,7 @@ let find_leaf t addr =
                answer is stored and handed back unwrapped on later
                hits, so the [Some] is paid once per slot, not per
                translate. *)
-            slots.(i) <- Some r;
+            slots.(j) <- Some r;
             r)
   end
 
@@ -339,51 +391,49 @@ let aligned_4k region =
    implementation restarted from the root after every split. *)
 let split_straddling t region point =
   let rec descend node level =
-    match Hashtbl.find_opt node.entries (slice point level) with
-    | None -> ()
-    | Some (Leaf l) ->
+    let idx = slice point level in
+    match get node idx with
+    | Empty -> ()
+    | Leaf l ->
         if level > 1 then begin
           let bytes = Addr.bytes_of_page_size (page_size_of_level level) in
           let base = Addr.page_down point ~size:bytes in
           let contained = Region.contains_range region ~base ~len:bytes in
-          if not contained then begin
-            split_leaf t node (slice point level) level ~perms:l.perms;
-            match Hashtbl.find_opt node.entries (slice point level) with
-            | Some (Table n) -> descend n (level - 1)
-            | Some (Leaf _) | None -> assert false
-          end
+          if not contained then
+            descend (split_leaf t node idx level ~perms:l.perms) (level - 1)
         end
-    | Some (Table n) -> descend n (level - 1)
+    | Table n -> descend n (level - 1)
   in
   descend t.root 4
 
 let remove_leaves t region =
   (* After boundary splitting, every leaf is either fully inside or
-     fully outside [region]; remove the inside ones. *)
-  let rec scrub node level base_of_slot =
-    let removals = ref [] in
-    Hashtbl.iter
-      (fun idx e ->
-        let slot_base = base_of_slot idx in
-        let slot_bytes = 1 lsl level_shift level in
-        let slot = Region.make ~base:slot_base ~len:slot_bytes in
-        if Region.overlaps slot region then
-          match e with
-          | Leaf l ->
-              if Region.contains_range region ~base:slot_base ~len:slot_bytes
-              then begin
-                count_delta t l.page_size (-1);
-                t.writes <- t.writes + 1;
-                removals := idx :: !removals
-              end
-          | Table n ->
-              scrub n (level - 1) (fun i ->
-                  slot_base + (i * (1 lsl level_shift (level - 1))));
-              if Hashtbl.length n.entries = 0 then removals := idx :: !removals)
-      node.entries;
-    List.iter (Hashtbl.remove node.entries) !removals
+     fully outside [region]; clear the inside ones in place, over the
+     slots of each node that overlap the region, and drop a table
+     left with no live slot. *)
+  let lim = Region.limit region in
+  let rec scrub node level base =
+    let shift = level_shift level in
+    let slot_bytes = 1 lsl shift in
+    let lo = max 0 ((region.Region.base - base) asr shift) in
+    let hi = min 511 ((lim - 1 - base) asr shift) in
+    for idx = lo to hi do
+      let slot_base = base + (idx * slot_bytes) in
+      match get node idx with
+      | Empty -> ()
+      | Leaf l ->
+          if Region.contains_range region ~base:slot_base ~len:slot_bytes
+          then begin
+            count_delta t l.page_size (-1);
+            t.writes <- t.writes + 1;
+            clear node idx
+          end
+      | Table n ->
+          scrub n (level - 1) slot_base;
+          if n.live = 0 then clear node idx
+    done
   in
-  scrub t.root 4 (fun i -> i * (1 lsl level_shift 4))
+  scrub t.root 4 0
 
 (* Greedy aligned chunking: at each address, the largest permitted
    page that is aligned and fits.  Consecutive leaves of one size
@@ -461,21 +511,27 @@ let covers t ~base ~len =
       answer
 
 (* Offline descent over every live leaf in ascending GPA order — the
-   static verifier's raw material.  Walks the radix structure itself
-   (not the index) so a verifier cross-checks what the hardware would
-   actually translate. *)
+   static verifier's raw material.  Slots are scanned in index order,
+   which is GPA order, so nothing is sorted.  Walks the radix
+   structure itself (not the index) so a verifier cross-checks what
+   the hardware would actually translate. *)
 let fold_leaves t ~init ~f =
-  let sorted_keys entries =
-    Hashtbl.fold (fun k _ acc -> k :: acc) entries [] |> List.sort compare
-  in
   let rec go node level base acc =
-    List.fold_left
-      (fun acc idx ->
-        let slot_base = base + (idx * (1 lsl level_shift level)) in
-        match Hashtbl.find node.entries idx with
-        | Leaf { page_size; perms } -> f acc ~base:slot_base ~page_size ~perms
-        | Table child -> go child (level - 1) slot_base acc)
-      acc (sorted_keys node.entries)
+    let slot_bytes = 1 lsl level_shift level in
+    let acc = ref acc in
+    for p = 0 to node_parts - 1 do
+      let part = node.parts.(p) in
+      if part != empty_part then
+        for i = 0 to part_slots - 1 do
+          let slot_base = base + (((p * part_slots) + i) * slot_bytes) in
+          match part.(i) with
+          | Empty -> ()
+          | Leaf { page_size; perms } ->
+              acc := f !acc ~base:slot_base ~page_size ~perms
+          | Table child -> acc := go child (level - 1) slot_base !acc
+        done
+    done;
+    !acc
   in
   go t.root 4 0 init
 

@@ -8,6 +8,14 @@
     ablation); partially unmapping a large leaf splits it into smaller
     pages, as a real EPT manager must.
 
+    Each radix node stores its 512 slots as eight 64-slot parts, each
+    allocated on its first write (an unwritten part is one shared
+    empty array), with a count of live slots; a slot read is two array
+    loads.  Building or remapping a table allocates no block larger
+    than 256 words ([Max_young_wosize]), so it stays in the minor heap
+    instead of allocating straight into the major heap; the one larger
+    block is noted under the walk cache below.
+
     A [Region.Set] index mirrors the radix structure for O(regions)
     bulk containment checks on the workload fast path; the radix table
     is authoritative and the two are kept consistent (validated by
@@ -19,26 +27,29 @@
     - a {e paging-structure walk cache} memoizing how each 2M-aligned
       GPA window resolves (a uniform >=2M leaf / unmapped, or its
       level-1 PT node, whose per-4K answers fill a 512-slot array on
-      first use), so a warm [translate] is two array reads and an int
-      compare instead of a four-level descent.  The cache is flat: a
-      1024-slot [int array] of window keys beside an array of entries
-      that starts out as one shared constant, so [create] allocates
-      no per-slot record (both arrays go straight to the major heap);
+      first use), so a warm [translate] is a few array reads and an
+      int compare instead of a four-level descent.  Its 1024 direct-mapped
+      slots (key [gpa lsr 21], slot [key land 1023]) are 16 chunks of
+      64, each a key chunk and an entry chunk allocated on the chunk's
+      first fill, so [create] allocates no slot storage at all and a
+      warm hit costs one chunk load more than a flat array would.
+      The 512-slot per-4K answer array of a PT-backed window, made on
+      that window's first fill, is the one block over the limit;
     - a [covers] memo keyed by [(base, len)].
 
     Both are invalidated wholesale by the generation counter — the
-    [entry_writes] tally, which every leaf install and removal bumps —
-    so cached answers are always those the uncached walk would give
+    [entry_writes] tally, which every leaf install and removal bumps;
+    the walk cache clears only the chunks it has allocated — so
+    cached answers are always those the uncached walk would give
     (asserted by a property test over random map/unmap/access
     sequences).
 
     [map_region] installs its greedy chunks run by run: consecutive
     leaves of one size under one parent node (the 2M leaves of a 1G
     window, the 4K leaves of a 2M window) take one descent from the
-    root, a parent pre-sized for the run when the run creates it, and
-    one shared immutable leaf value.  Leaves, [fold_leaves] order,
-    [leaf_counts] and [entry_writes] are exactly those of installing
-    the chunks one by one. *)
+    root and one shared immutable leaf value.  Leaves, [fold_leaves]
+    order, [leaf_counts] and [entry_writes] are exactly those of
+    installing the chunks one by one. *)
 
 type perms = { read : bool; write : bool; exec : bool }
 (** Leaf permissions. *)
@@ -145,7 +156,9 @@ val fold_leaves :
   'a
 (** Fold over every live leaf in ascending GPA order, by walking the
     radix structure itself (not the index) — so an offline verifier
-    cross-checks exactly what the hardware would translate. *)
+    cross-checks exactly what the hardware would translate.  Slots are
+    visited in index order, which is GPA order, so nothing is sorted;
+    parts never written are skipped. *)
 
 val regions : t -> Region.Set.t
 (** The mapped set, from the index. *)

@@ -238,14 +238,25 @@ let test_detach_allows_reattach () =
   in
   ()
 
+(* The post-mortem archive keeps only what a lookup could return:
+   fault-free churn leaves it empty, while an enclave that faulted
+   keeps its report after it is destroyed. *)
 let test_reports_archived_after_destroy () =
   let s = Helpers.boot_stack ~config:Covirt.Config.mem () in
   let p = Helpers.pisces s in
+  for i = 1 to 500 do
+    let e, _ = Helpers.second_enclave s ~name:(Printf.sprintf "churn%d" i) () in
+    Pisces.destroy p e
+  done;
+  Alcotest.(check int) "fault-free churn archives nothing" 0
+    (Covirt.Controller.archived_count s.Helpers.controller);
   let ctx = Helpers.ctx s 1 in
   let result =
     Pisces.run_guarded p (fun () -> Covirt_kitten.Kitten.store_addr ctx 0x3000)
   in
   Alcotest.(check bool) "crashed" true (Result.is_error result);
+  Alcotest.(check int) "only the faulted enclave is archived" 1
+    (Covirt.Controller.archived_count s.Helpers.controller);
   let reports =
     Covirt.reports s.Helpers.controller ~enclave_id:s.Helpers.enclave.Enclave.id
   in

@@ -159,6 +159,75 @@ let prop_cached_equals_uncached =
         ops)
 
 (* ------------------------------------------------------------------ *)
+(* The walk cache's hit/miss sequence against a pure direct-mapped
+   model: 1024 slots keyed by the 2M window ([gpa lsr 21]) in slot
+   [key land 1023], every slot emptied when the table's generation has
+   moved since the previous lookup.  Addresses sit in 16 MiB bands
+   64 MiB apart, repeated every 1 GiB up to 8 GiB, so every chunk of
+   slots is used; windows 2 GiB apart share a slot, windows 1 GiB
+   apart must not.  Regions come on a 4K or 2M grain, so PT-backed windows
+   are in the mix.  This pins the hit/miss counts behind [ept.walk.*]
+   and coverage codes 0-4. *)
+
+let gen_walk_ops =
+  QCheck2.Gen.(
+    let span = 16 * mib in
+    let anchored grain =
+      let* gib = int_range 0 7
+      and* band = int_range 0 15
+      and* off = int_range 0 ((span / grain) - 1) in
+      return ((gib * Addr.page_size_1g) + (band * 64 * mib) + (off * grain))
+    in
+    let* grain = oneofl [ k4; m2 ] in
+    let region =
+      let* base = anchored grain and* n = int_range 1 (span / 2 / grain) in
+      return (Region.make ~base ~len:(n * grain))
+    in
+    list_size (int_range 1 120)
+      (frequency
+         [
+           (1, map (fun r -> `Map r) region);
+           (1, map (fun r -> `Unmap r) region);
+           (6, map (fun a -> `Translate a) (anchored k4));
+         ]))
+
+let print_walk_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | `Map r -> Format.asprintf "map %a" Region.pp r
+         | `Unmap r -> Format.asprintf "unmap %a" Region.pp r
+         | `Translate a -> Printf.sprintf "tr %#x" a)
+       ops)
+
+let prop_walk_cache_model =
+  Covirt_test_util.Helpers.qtest ~count:150 "walk cache = direct-mapped model"
+    ~print:print_walk_ops gen_walk_ops (fun ops ->
+      let ept = Ept.create () in
+      let keys = Array.make 1024 (-1) in
+      let gen = ref (Ept.generation ept) and hits = ref 0 and misses = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Map r -> Ept.map_region ept r
+          | `Unmap r -> Ept.unmap_region ept r
+          | `Translate addr ->
+              ignore (Ept.translate_code ept addr ~access:`Read);
+              if Ept.generation ept <> !gen then begin
+                Array.fill keys 0 1024 (-1);
+                gen := Ept.generation ept
+              end;
+              let key = addr lsr 21 in
+              let s = key land 1023 in
+              if keys.(s) = key then incr hits
+              else begin
+                incr misses;
+                keys.(s) <- key
+              end);
+          Ept.walk_cache_stats ept = (!hits, !misses))
+        ops)
+
+(* ------------------------------------------------------------------ *)
 (* [map_region]/[unmap_region] against a pure model: the leaf set as a
    sorted list of (base, page size, perms).  A mutation splits every
    leaf that straddles the region one level down (recursively), drops
@@ -490,11 +559,11 @@ let test_fleet_sharded_zero_alloc () =
           words)
     [ 1; 2; 7 ]
 
-(* Construction cost: a fresh table allocates no per-slot walk-cache
-   records (the cache is two flat arrays, both too large for the minor
-   heap), and Kitten's direct map of a 7092 MiB node — 6 1G leaves and
-   474 2M leaves in one 1G window — installs the 2M run with one
-   descent and one shared leaf value. *)
+(* Construction cost: a fresh table allocates no walk-cache or radix
+   slot storage up front (both come in 64-slot parts on first fill),
+   and Kitten's direct map of a 7092 MiB node — 6 1G leaves and 474 2M
+   leaves in one 1G window — installs the 2M run with one descent and
+   one shared leaf value. *)
 let minor_words_per_call f =
   let reps = 200 in
   for _ = 1 to 8 do ignore (Sys.opaque_identity (f ())) done;
@@ -509,11 +578,40 @@ let check_construction_words name ~limit f =
       (Printf.sprintf "%s: %.0f minor words <= %.0f" name words limit)
       true (words <= limit)
 
+(* Words allocated straight into the major heap — blocks over
+   [Max_young_wosize] (256 words) skip the minor heap — as the change
+   in [major_words - promoted_words]: promotion by a minor collection
+   that [f] happens to trigger cancels out.  Read with [Gc.counters]:
+   under OCaml 5 [Gc.quick_stat]'s [major_words] only catches up at
+   the next major slice, so a short [f] would read as 0. *)
+let direct_major_words f =
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  ignore (Sys.opaque_identity (f ()));
+  let before = direct () in
+  ignore (Sys.opaque_identity (f ()));
+  direct () -. before
+
+let check_no_direct_major name f =
+  if native then
+    Alcotest.(check (float 0.0))
+      (name ^ ": no direct major-heap words")
+      0.0 (direct_major_words f)
+
 let test_construction_alloc () =
   check_construction_words "Ept.create ()" ~limit:128. (fun () ->
       Ept.create ());
-  check_construction_words "Guest_pt.direct_map 7092 MiB" ~limit:4096.
-    (fun () -> Guest_pt.direct_map ~total_mem:(7092 * mib))
+  check_construction_words "Guest_pt.direct_map 7092 MiB" ~limit:1024.
+    (fun () -> Guest_pt.direct_map ~total_mem:(7092 * mib));
+  check_no_direct_major "Ept.create ()" (fun () -> Ept.create ());
+  check_no_direct_major "Guest_pt.direct_map 7092 MiB" (fun () ->
+      Guest_pt.direct_map ~total_mem:(7092 * mib));
+  check_no_direct_major "24 MiB map_region + first translate" (fun () ->
+      let ept = Ept.create () in
+      Ept.map_region ept (Region.make ~base:(64 * mib) ~len:(24 * mib));
+      Ept.translate_code ept (70 * mib) ~access:`Read)
 
 (* ------------------------------------------------------------------ *)
 (* The walk-cache generation counter must never move on read-only
@@ -600,6 +698,7 @@ let () =
           Alcotest.test_case "covers-memo invalidation" `Quick
             test_covers_memo_invalidation;
           prop_cached_equals_uncached;
+          prop_walk_cache_model;
           prop_map_matches_model;
         ] );
       ( "charge memo",
