@@ -155,9 +155,7 @@ let run ?registry ctrl =
   let mmio_base = Phys_mem.mmio_base mem in
   let instances = Covirt.Controller.instances ctrl in
   let live id =
-    List.exists
-      (fun (i : Covirt.Controller.instance) -> i.enclave.Enclave.id = id)
-      instances
+    Option.is_some (Covirt.Controller.instance_for ctrl ~enclave_id:id)
   in
   let shared_for id =
     match registry with

@@ -26,7 +26,10 @@ type t = {
   pisces : Pisces.t;
   default_config : Config.t;
   overrides : (string, Config.t) Hashtbl.t;
-  mutable instances : (int * instance) list;
+  instances : (int, instance) Hashtbl.t;  (* live instances by enclave id *)
+  grants_by_dest : Whitelist.index;
+      (* destination core -> live instances whose whitelist grants a
+         vector to it: the stale-grant sweep's candidates *)
   archived : (int, Fault_report.t list) Hashtbl.t;
       (* reports survive enclave destruction: they are the master
          control process's debugging record *)
@@ -38,9 +41,18 @@ type t = {
 
 let pisces t = t.pisces
 let default_config t = t.default_config
-let instances t = List.map snd t.instances
+(* Instances are created in enclave-creation order, and enclave ids
+   grow with creation, so descending id is newest first. *)
+let newest_first (a : instance) (b : instance) =
+  Int.compare b.enclave.Enclave.id a.enclave.Enclave.id
 
-let instance_for t ~enclave_id = List.assoc_opt enclave_id t.instances
+let instances t =
+  List.sort newest_first (Hashtbl.fold (fun _ i acc -> i :: acc) t.instances [])
+
+let instance_for t ~enclave_id = Hashtbl.find_opt t.instances enclave_id
+
+let granting_to t ~core =
+  List.map (Hashtbl.find t.instances) (Whitelist.holders t.grants_by_dest ~dest:core)
 
 let reports_for t ~enclave_id =
   match instance_for t ~enclave_id with
@@ -96,11 +108,11 @@ let record_report t (report : Fault_report.t) =
   List.iter (fun f -> f report) t.subscribers
 
 let total_flush_commands t =
-  List.fold_left
-    (fun acc (_, i) ->
+  Hashtbl.fold
+    (fun _ i acc ->
       List.fold_left (fun a (_, hv) -> a + Hypervisor.flushes hv) acc
         i.hypervisors)
-    0 t.instances
+    t.instances 0
 
 (* Shadow-sanitizer violations surface as non-fatal reports: the
    supervisor only reacts to fatal ones, so detection never perturbs
@@ -167,7 +179,9 @@ let on_created t enclave =
               region)
           enclave.Enclave.memory
     | None -> ());
-    t.instances <- (enclave.Enclave.id, instance) :: t.instances
+    Whitelist.link instance.whitelist t.grants_by_dest
+      ~holder:enclave.Enclave.id;
+    Hashtbl.replace t.instances enclave.Enclave.id instance
   end
 
 let interpose t enclave (cpu : Cpu.t) ~bsp jump =
@@ -286,6 +300,8 @@ let on_vector_revoke t enclave ~vector ~dest =
 let on_destroyed t enclave =
   (match instance_for t ~enclave_id:enclave.Enclave.id with
   | Some i ->
+      Whitelist.unlink i.whitelist;
+      Hashtbl.remove t.instances enclave.Enclave.id;
       (* Only non-empty records are archived: the lookups default to
          no reports and 0 drops, and storing those for every destroy
          would grow both tables by one entry per enclave under churn. *)
@@ -297,16 +313,15 @@ let on_destroyed t enclave =
       if drops > 0 then
         Hashtbl.replace t.archived_drops enclave.Enclave.id drops
   | None -> ());
-  t.instances <-
-    List.filter (fun (id, _) -> id <> enclave.Enclave.id) t.instances;
   if !Sanitize.on then Sanitize.drop_enclave ~id:enclave.Enclave.id;
   (* Grants aimed at the dead enclave's cores are stale the moment
      those cores return to the host; prune them from every surviving
      instance so the static verifier's stale-grant check starts from a
-     clean slate. *)
+     clean slate.  Only instances granting into a dead core have work,
+     visited newest first. *)
   let dead = enclave.Enclave.cores in
   List.iter
-    (fun (_, inst) ->
+    (fun inst ->
       let stale =
         List.filter
           (fun (_, d) -> List.mem d dead)
@@ -319,7 +334,8 @@ let on_destroyed t enclave =
           stale;
         signal_all_cores t inst Command.Whitelist_updated
       end)
-    t.instances
+    (List.concat_map (fun core -> granting_to t ~core) dead
+    |> List.sort_uniq newest_first)
 
 (* ------------------------------------------------------------------ *)
 
@@ -336,7 +352,8 @@ let attach pisces ~config =
       pisces;
       default_config = config;
       overrides = Hashtbl.create 4;
-      instances = [];
+      instances = Hashtbl.create 16;
+      grants_by_dest = Whitelist.index ();
       archived = Hashtbl.create 4;
       archived_drops = Hashtbl.create 4;
       subscribers = [];
@@ -402,5 +419,5 @@ let detach t =
       t.registered <- None);
   (* No grant state may outlive the controller that installed it —
      the verifier's stale-grant check starts clean after a detach. *)
-  List.iter (fun (_, inst) -> Whitelist.clear inst.whitelist) t.instances;
+  Hashtbl.iter (fun _ inst -> Whitelist.clear inst.whitelist) t.instances;
   Hooks.clear_boot_interposer hooks

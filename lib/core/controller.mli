@@ -58,7 +58,17 @@ val record_report : t -> Fault_report.t -> unit
 val pisces : t -> Pisces.t
 val default_config : t -> Config.t
 val instances : t -> instance list
+(** Live instances, newest first (descending enclave id).  Builds and
+    sorts a fresh list, O(n log n). *)
+
 val instance_for : t -> enclave_id:int -> instance option
+(** O(1): the instances are keyed by enclave id. *)
+
+val granting_to : t -> core:int -> instance list
+(** Live instances whose whitelist grants at least one vector to
+    [core], newest first — read from the per-core index the stale-grant
+    sweep uses. *)
+
 val reports_for : t -> enclave_id:int -> Fault_report.t list
 
 (** Dropped-IPI count for a live enclave, or the archived count for a

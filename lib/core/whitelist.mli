@@ -29,3 +29,26 @@ val note_dropped : t -> unit
 val dropped : t -> int
 val grants : t -> (int * int) list
 (** Current (vector, dest) pairs. *)
+
+(** {2 Reverse index}
+
+    A controller links the whitelists of its live instances to one
+    shared index, from destination core to the holders of a grant
+    aimed at it.  Every change to a linked whitelist — through this
+    module, whoever calls it — keeps the index exact. *)
+
+type index
+
+val index : unit -> index
+
+val holders : index -> dest:int -> int list
+(** Holder ids of the linked whitelists granting at least one vector
+    to [dest], descending. *)
+
+val link : t -> index -> holder:int -> unit
+(** Index this whitelist's grants, current and future, under
+    [holder]. *)
+
+val unlink : t -> unit
+(** Withdraw the grants from the index; the whitelist itself keeps
+    them. *)

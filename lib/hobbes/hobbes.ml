@@ -55,50 +55,55 @@ let scrub_on_destroy t (enclave : Enclave.t) =
       then free_ipi_vector t v)
     enclave.Enclave.granted_vectors;
   let dead_cores = enclave.Enclave.cores in
-  let still_granted v =
-    List.exists
-      (fun (e : Enclave.t) ->
-        e.Enclave.id <> id
-        && List.exists (fun (v', _) -> v' = v) e.Enclave.granted_vectors)
-      (Pisces.enclaves t.pisces)
+  (* Asked only of a vector still allocated, which the dying enclave
+     cannot hold (its vectors were freed above), so every holder
+     Pisces counts is a survivor. *)
+  let still_granted v = Pisces.vector_holders t.pisces v > 0 in
+  (* Only the holders of a grant into a dead core have work to do;
+     visit them newest first, as a scan of every live enclave would. *)
+  let holders =
+    List.concat_map (fun core -> Pisces.grants_to t.pisces ~core) dead_cores
+    |> List.filter_map (fun ((peer : Enclave.t), _) ->
+           if peer.Enclave.id <> id then Some peer else None)
+    |> List.sort_uniq (fun (a : Enclave.t) (b : Enclave.t) ->
+           Int.compare b.Enclave.id a.Enclave.id)
   in
   List.iter
     (fun (peer : Enclave.t) ->
-      if peer.Enclave.id <> id then
-        List.iter
-          (fun (v, dest) ->
-            if List.mem dest dead_cores then begin
-              (match
-                 Pisces.revoke_ipi_vector ~peer_core:dest t.pisces peer
-                   ~vector:v
-               with
-              | Ok () | Error _ -> ());
-              if Hashtbl.mem t.allocated_vectors v && not (still_granted v)
-              then free_ipi_vector t v
-            end)
-          peer.Enclave.granted_vectors)
-    (Pisces.enclaves t.pisces);
+      List.iter
+        (fun (v, dest) ->
+          if List.mem dest dead_cores then begin
+            (match
+               Pisces.revoke_ipi_vector ~peer_core:dest t.pisces peer ~vector:v
+             with
+            | Ok () | Error _ -> ());
+            if Hashtbl.mem t.allocated_vectors v && not (still_granted v) then
+              free_ipi_vector t v
+          end)
+        peer.Enclave.granted_vectors)
+    holders;
   let registry = Covirt_xemem.Xemem.registry t.xemem in
+  (* The enclave's own segments, ascending segid. *)
   List.iter
-    (fun (seg : Covirt_xemem.Name_service.segment) ->
-      match seg.Covirt_xemem.Name_service.exporter with
-      | Covirt_xemem.Name_service.Enclave_export e when e = id -> (
-          match
-            Covirt_xemem.Xemem.reclaim_export t.xemem
-              ~name:seg.Covirt_xemem.Name_service.name ()
-          with
-          | Ok () -> ()
-          | Error _ ->
-              (* An attacher refused the unmap (e.g. it is mid-crash
-                 itself); the record must still not outlive its
-                 exporter. *)
-              Covirt_xemem.Name_service.remove registry
-                ~segid:seg.Covirt_xemem.Name_service.segid)
-      | _ ->
-          if List.mem id seg.Covirt_xemem.Name_service.attachers then
-            Covirt_xemem.Name_service.note_detach registry
-              ~segid:seg.Covirt_xemem.Name_service.segid ~enclave:id)
-    (Covirt_xemem.Name_service.segments registry)
+    (fun segid ->
+      match Covirt_xemem.Name_service.lookup_segid registry ~segid with
+      | None -> ()
+      | Some seg -> (
+          match seg.Covirt_xemem.Name_service.exporter with
+          | Covirt_xemem.Name_service.Enclave_export e when e = id -> (
+              match
+                Covirt_xemem.Xemem.reclaim_export t.xemem
+                  ~name:seg.Covirt_xemem.Name_service.name ()
+              with
+              | Ok () -> ()
+              | Error _ ->
+                  (* An attacher refused the unmap (e.g. it is mid-crash
+                     itself); the record must still not outlive its
+                     exporter. *)
+                  Covirt_xemem.Name_service.remove registry ~segid)
+          | _ ->
+              Covirt_xemem.Name_service.note_detach registry ~segid ~enclave:id))
+    (Covirt_xemem.Name_service.segids_of registry ~enclave:id)
 
 let create machine ~host_core =
   let pisces = Pisces.create machine ~host_core in

@@ -20,8 +20,12 @@ val uid : t -> int
     this, so hooks from other machines are ignored. *)
 
 val snapshot : t -> (Region.t * Owner.t) list
-(** Every current assignment (disjoint, unsorted) — seeds the shadow
-    sanitizer and backs the static verifier's cross-check. *)
+(** Every current assignment (disjoint), most recently made first:
+    [alloc], [assign], [add_device] and [chown] put their region at
+    the front, and the pieces a partial [release] or [chown] leaves of
+    a cut assignment go in front of all older ones.  Seeds the shadow
+    sanitizer and backs the static verifier's cross-check, whose
+    violation order follows it.  O(n log n). *)
 
 val alloc :
   t -> owner:Owner.t -> zone:Numa.zone -> len:int -> (Region.t, string) result
@@ -32,19 +36,23 @@ val assign : t -> owner:Owner.t -> Region.t -> (unit, string) result
 (** Explicitly assign a free region (must be entirely free). *)
 
 val release : t -> Region.t -> unit
-(** Return a region to the free pool, whoever owned it. *)
+(** Return a region to the free pool, whoever owned it.  O(log n + k)
+    for the k assignments it cuts. *)
 
 val owner_at : t -> Addr.t -> Owner.t
 (** Device MMIO windows report [Device]; out-of-range addresses are
-    also treated as device space (the machine maps MMIO above DRAM). *)
+    also treated as device space (the machine maps MMIO above DRAM).
+    O(log n): assignments are keyed by base. *)
 
 val owns_range : t -> owner:Owner.t -> Region.t -> bool
 (** Every byte of the region is assigned to [owner]; unassigned bytes
-    (free memory, unregistered MMIO) fail.  One pass over the
-    assignments; for any [owner] but [Free] this is [owner_at]
+    (free memory, unregistered MMIO) fail.  Walks only the assignments
+    the region spans; for any [owner] but [Free] this is [owner_at]
     checked byte by byte. *)
 
 val owned_by : t -> Owner.t -> Region.Set.t
+(** O(k log k) in the owner's own assignments. *)
+
 val free_bytes : t -> zone:Numa.zone -> int
 
 val add_device : t -> name:string -> len:int -> Region.t

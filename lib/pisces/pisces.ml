@@ -8,11 +8,21 @@ type kernel = {
 
 type crash = { enclave_id : int; cpu_id : int; reason : string }
 
+module Imap = Map.Make (Int)
+
 type t = {
   machine : Machine.t;
   host_core : int;
   hooks : Hooks.t;
-  mutable enclaves : Enclave.t list;
+  mutable enclaves : Enclave.t Imap.t;
+      (* live enclaves by id; ids grow with creation, so descending id
+         is newest first *)
+  grants_by_dest : (int, (Enclave.t * int list) Imap.t) Hashtbl.t;
+      (* destination core -> holder id -> (holder, the vectors it was
+         granted to that core, newest first); mirrors every live
+         [granted_vectors], which only this module writes *)
+  vector_holders : (int, int) Hashtbl.t;
+      (* vector -> live grant entries naming it *)
   mutable next_id : int;
   mutable syscall_handler : (number:int -> arg:int -> int) option;
 }
@@ -24,7 +34,9 @@ let create machine ~host_core =
     machine;
     host_core;
     hooks = Hooks.create ();
-    enclaves = [];
+    enclaves = Imap.empty;
+    grants_by_dest = Hashtbl.create 16;
+    vector_holders = Hashtbl.create 16;
     next_id = 1;
     syscall_handler = None;
   }
@@ -35,8 +47,56 @@ let host_tsc t = Cpu.rdtsc (host_cpu t)
 let core_tsc t core = Cpu.rdtsc (Machine.cpu t.machine core)
 let tsc_ghz t = t.machine.Machine.model.Cost_model.ghz
 let hooks t = t.hooks
-let enclaves t = t.enclaves
-let find_enclave t id = List.find_opt (fun e -> e.Enclave.id = id) t.enclaves
+let enclaves t = Imap.fold (fun _ e acc -> e :: acc) t.enclaves []
+let find_enclave t id = Imap.find_opt id t.enclaves
+
+let grants_to t ~core =
+  match Hashtbl.find_opt t.grants_by_dest core with
+  | None -> []
+  | Some holders ->
+      Imap.fold
+        (fun _ (e, vectors) acc -> List.map (fun v -> (e, v)) vectors @ acc)
+        holders []
+
+let vector_holders t vector =
+  Option.value ~default:0 (Hashtbl.find_opt t.vector_holders vector)
+
+(* Grant entries enter and leave the reverse indexes one by one, so a
+   vector granted twice to the same core is indexed twice. *)
+let index_grant t (enclave : Enclave.t) (vector, dest) =
+  let holders =
+    Option.value ~default:Imap.empty (Hashtbl.find_opt t.grants_by_dest dest)
+  in
+  let vectors =
+    match Imap.find_opt enclave.Enclave.id holders with
+    | Some (_, vs) -> vs
+    | None -> []
+  in
+  Hashtbl.replace t.grants_by_dest dest
+    (Imap.add enclave.Enclave.id (enclave, vector :: vectors) holders);
+  Hashtbl.replace t.vector_holders vector (vector_holders t vector + 1)
+
+let unindex_grant t (enclave : Enclave.t) (vector, dest) =
+  (match Hashtbl.find_opt t.grants_by_dest dest with
+  | None -> ()
+  | Some holders -> (
+      match Imap.find_opt enclave.Enclave.id holders with
+      | None -> ()
+      | Some (_, vectors) ->
+          let rec drop_one = function
+            | [] -> []
+            | v :: rest -> if v = vector then rest else v :: drop_one rest
+          in
+          let holders =
+            match drop_one vectors with
+            | [] -> Imap.remove enclave.Enclave.id holders
+            | vs -> Imap.add enclave.Enclave.id (enclave, vs) holders
+          in
+          if Imap.is_empty holders then Hashtbl.remove t.grants_by_dest dest
+          else Hashtbl.replace t.grants_by_dest dest holders));
+  match vector_holders t vector with
+  | n when n > 1 -> Hashtbl.replace t.vector_holders vector (n - 1)
+  | _ -> Hashtbl.remove t.vector_holders vector
 
 let trace t fmt =
   let cpu = host_cpu t in
@@ -87,7 +147,7 @@ let create_enclave t ~name ~cores ~mem ?(timer_hz = 10.0) () =
           t.next_id <- t.next_id + 1;
           enclave.Enclave.memory <- Region.Set.of_list regions;
           enclave.Enclave.timer_hz <- timer_hz;
-          t.enclaves <- enclave :: t.enclaves;
+          t.enclaves <- Imap.add id enclave t.enclaves;
           trace t "created enclave %d (%s)" id name;
           Hooks.fire t.hooks.Hooks.on_enclave_created enclave;
           Ok enclave)
@@ -337,6 +397,7 @@ let grant_ipi_vector t enclave ~vector ~peer_core =
     | Ok () ->
         enclave.Enclave.granted_vectors <-
           (vector, peer_core) :: enclave.Enclave.granted_vectors;
+        index_grant t enclave (vector, peer_core);
         Ok ()
     | Error e -> Error e
   end
@@ -351,12 +412,15 @@ let revoke_ipi_vector ?peer_core t enclave ~vector =
         ~seq
     with
     | Ok () ->
-        enclave.Enclave.granted_vectors <-
-          List.filter
+        let keep, gone =
+          List.partition
             (fun (v, d) ->
               v <> vector
               || match peer_core with Some pc -> d <> pc | None -> false)
-            enclave.Enclave.granted_vectors;
+            enclave.Enclave.granted_vectors
+        in
+        enclave.Enclave.granted_vectors <- keep;
+        List.iter (unindex_grant t enclave) gone;
         List.iter
           (fun f -> f enclave ~vector ~dest:peer_core)
           t.hooks.Hooks.post_vector_revoke;
@@ -417,6 +481,7 @@ let release_resources t enclave =
   (* Per-vector grant state must not outlive the enclave: a dead
      enclave with live grants is exactly the stale-grant violation the
      static verifier hunts. *)
+  List.iter (unindex_grant t enclave) enclave.Enclave.granted_vectors;
   enclave.Enclave.granted_vectors <- [];
   List.iter
     (fun core ->
@@ -429,13 +494,11 @@ let release_resources t enclave =
     enclave.Enclave.cores
 
 (* The registry must hold live enclaves only: with thousands of
-   tenants cycling through create/destroy, a grow-only list makes
-   [find_enclave] O(everything that ever existed) and is itself a
-   monotonic leak.  The caller's [Enclave.t] record stays valid (state
-   records the outcome); it just no longer appears in [enclaves]. *)
-let forget t enclave =
-  t.enclaves <-
-    List.filter (fun e -> e.Enclave.id <> enclave.Enclave.id) t.enclaves
+   tenants cycling through create/destroy, a grow-only registry would
+   itself be a monotonic leak.  The caller's [Enclave.t] record stays
+   valid (state records the outcome); it just no longer appears in
+   [enclaves]. *)
+let forget t enclave = t.enclaves <- Imap.remove enclave.Enclave.id t.enclaves
 
 let destroy t enclave =
   (if Enclave.is_running enclave then

@@ -45,12 +45,25 @@ val tsc_ghz : t -> float
 val hooks : t -> Hooks.t
 
 val enclaves : t -> Enclave.t list
-(** The {e live} enclaves (newest first).  Destroyed and reclaimed
-    enclaves are removed from the registry — a dense node cycling
-    thousands of tenants must not grow this list monotonically. *)
+(** The {e live} enclaves, newest first (descending id: ids are handed
+    out in creation order).  Destroyed and reclaimed enclaves are
+    removed from the registry — a dense node cycling thousands of
+    tenants must not grow it monotonically.  Builds a fresh list, O(n). *)
 
 val find_enclave : t -> int -> Enclave.t option
-(** Live enclaves only; [None] once destroyed or reclaimed. *)
+(** Live enclaves only; [None] once destroyed or reclaimed.  O(log n). *)
+
+val grants_to : t -> core:int -> (Enclave.t * int) list
+(** Every live IPI grant whose destination is [core], as
+    [(holder, vector)] with one pair per [granted_vectors] entry:
+    holders newest first, each holder's grants newest first — the
+    order a scan of {!enclaves} and their [granted_vectors] meets
+    them.  Read from a reverse index this module keeps beside
+    [granted_vectors], so the cost is the size of the answer. *)
+
+val vector_holders : t -> int -> int
+(** Live [granted_vectors] entries naming the vector, over every
+    enclave (a vector granted to two cores counts twice). *)
 
 val create_enclave :
   t ->

@@ -10,12 +10,15 @@ open Covirt_hw
 
 type exporter = Host_export | Enclave_export of int
 
-type segment = {
+type segment = private {
   segid : int;
   name : string;
   exporter : exporter;
   pages : Region.t list;
-  mutable attachers : int list;  (** enclave ids currently attached *)
+  mutable attachers : int list;
+      (** enclave ids currently attached, newest first; private so
+          that only {!note_attach}/{!note_detach} change it, which keep
+          the per-enclave index in step *)
 }
 
 type t
@@ -33,10 +36,17 @@ val lookup : t -> name:string -> segment option
 val regions_for : t -> enclave:int -> Covirt_hw.Region.Set.t
 (** Every frame of every live segment the enclave exported or is
     attached to — the registered-share closure the static verifier
-    treats as legitimately cross-owner. *)
+    treats as legitimately cross-owner.  Reads the per-enclave index:
+    the cost is the enclave's own segments, not the registry's. *)
+
+val segids_of : t -> enclave:int -> int list
+(** Segids of the live segments the enclave exported or is attached
+    to, ascending — a per-enclave index kept by {!register},
+    {!note_attach}, {!note_detach} and {!remove}. *)
 
 val lookup_segid : t -> segid:int -> segment option
 val note_attach : t -> segid:int -> enclave:int -> unit
 val note_detach : t -> segid:int -> enclave:int -> unit
 val remove : t -> segid:int -> unit
 val segments : t -> segment list
+(** Every live segment, ascending segid. *)

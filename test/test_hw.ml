@@ -261,6 +261,228 @@ let prop_owns_range_matches_frames =
           Phys_mem.owns_range mem ~owner r = frames r.Region.base)
         probes)
 
+(* Model test: the keyed [Phys_mem] against the list-based map it
+   replaced, kept here verbatim as the reference.  Random
+   alloc/assign/chown/release/add_device histories over two zones,
+   with partial releases and regions that straddle the zone boundary;
+   after every step the two must agree on [owner_at] at probe
+   addresses, [owned_by] for every owner, [free_bytes] per zone, the
+   exact [snapshot] list and the exact region [alloc] returns. *)
+module Ref_mem = struct
+  type assignment = { region : Region.t; owner : Owner.t }
+
+  type t = {
+    topology : Numa.t;
+    mutable assignments : assignment list;
+    mutable free : Region.Set.t;
+    mutable next_mmio : Addr.t;
+    mmio_base : Addr.t;
+  }
+
+  let create ~topology ~host_reserved_per_zone =
+    let total = Numa.total_mem topology in
+    let free = ref (Region.Set.of_list [ Region.make ~base:0 ~len:total ]) in
+    let assignments = ref [] in
+    for z = 0 to Numa.zones topology - 1 do
+      let zr = Numa.zone_range topology z in
+      let host = Region.make ~base:zr.Region.base ~len:host_reserved_per_zone in
+      free := Region.Set.remove !free host;
+      assignments := { region = host; owner = Owner.Host } :: !assignments
+    done;
+    { topology; assignments = !assignments; free = !free; next_mmio = total;
+      mmio_base = total }
+
+  let snapshot t = List.map (fun a -> (a.region, a.owner)) t.assignments
+
+  let alloc t ~owner ~zone ~len =
+    let len = Addr.page_up len ~size:Addr.page_size_4k in
+    let zr = Numa.zone_range t.topology zone in
+    let candidate =
+      Region.Set.to_list (Region.Set.inter t.free (Region.Set.of_list [ zr ]))
+      |> List.find_map (fun r ->
+             let base = Addr.page_up r.Region.base ~size:Addr.page_size_2m in
+             if base + len <= Region.limit r then Some (Region.make ~base ~len)
+             else None)
+    in
+    match candidate with
+    | None -> Error "full"
+    | Some region ->
+        t.free <- Region.Set.remove t.free region;
+        t.assignments <- { region; owner } :: t.assignments;
+        Ok region
+
+  let assign t ~owner region =
+    if Region.Set.mem_range t.free ~base:region.Region.base ~len:region.Region.len
+    then begin
+      t.free <- Region.Set.remove t.free region;
+      t.assignments <- { region; owner } :: t.assignments;
+      Ok ()
+    end
+    else Error "not free"
+
+  let remnants t region =
+    let keep, cut =
+      List.partition (fun a -> not (Region.overlaps a.region region)) t.assignments
+    in
+    ( keep,
+      List.concat_map
+        (fun a ->
+          Region.Set.to_list
+            (Region.Set.remove (Region.Set.of_list [ a.region ]) region)
+          |> List.map (fun r -> { region = r; owner = a.owner }))
+        cut )
+
+  let release t region =
+    let keep, remnants = remnants t region in
+    t.assignments <- remnants @ keep;
+    t.free <- Region.Set.add t.free region
+
+  let chown t region owner =
+    let keep, remnants = remnants t region in
+    t.free <- Region.Set.remove t.free region;
+    t.assignments <- ({ region; owner } :: remnants) @ keep
+
+  let owner_at t addr =
+    match List.find_opt (fun a -> Region.contains a.region addr) t.assignments with
+    | Some a -> a.owner
+    | None -> if addr >= t.mmio_base then Owner.Device "unmapped-mmio" else Owner.Free
+
+  let owned_by t owner =
+    List.filter_map
+      (fun a -> if Owner.equal a.owner owner then Some a.region else None)
+      t.assignments
+    |> Region.Set.of_list
+
+  let free_bytes t ~zone =
+    Region.Set.total_bytes
+      (Region.Set.inter t.free
+         (Region.Set.of_list [ Numa.zone_range t.topology zone ]))
+
+  let add_device t ~name ~len =
+    let len = Addr.page_up len ~size:Addr.page_size_4k in
+    let region = Region.make ~base:t.next_mmio ~len in
+    t.next_mmio <- t.next_mmio + len;
+    t.assignments <- { region; owner = Owner.Device name } :: t.assignments;
+    region
+end
+
+let model_owners =
+  [| Owner.Host; Owner.Enclave 1; Owner.Enclave 2; Owner.Enclave 3;
+     Owner.Device "d0"; Owner.Free |]
+
+type mem_op =
+  | Alloc of int * int * int  (* owner, zone, len *)
+  | Assign of int * Region.t
+  | Chown of int * Region.t
+  | Release of Region.t
+  | Add_device of int
+
+let pp_mem_op ppf = function
+  | Alloc (o, z, len) -> Format.fprintf ppf "alloc o%d z%d %d" o z len
+  | Assign (o, r) -> Format.fprintf ppf "assign o%d %a" o Region.pp r
+  | Chown (o, r) -> Format.fprintf ppf "chown o%d %a" o Region.pp r
+  | Release r -> Format.fprintf ppf "release %a" Region.pp r
+  | Add_device len -> Format.fprintf ppf "add_device %d" len
+
+let prop_phys_mem_matches_list_model =
+  let gen =
+    QCheck2.Gen.(
+      (* Two 1 GiB zones: bases anywhere in DRAM at 4K, 2M or 64M
+         granularity, so releases land partially inside assignments
+         and across the zone boundary. *)
+      let region =
+        let* unit = oneofl [ 4096; 2 * mib; 64 * mib ] in
+        let span = 2048 * mib / unit in
+        let+ base = int_range 0 (span - 1)
+        and+ len = int_range 1 (max 1 (span / 8)) in
+        let base = base * unit in
+        Region.make ~base ~len:(min (len * unit) ((2048 * mib) - base))
+      in
+      let owner = int_range 0 (Array.length model_owners - 1) in
+      let op =
+        frequency
+          [
+            ( 4,
+              let+ o = owner and+ z = int_range 0 1
+              and+ len = int_range 1 (96 * 256) in
+              Alloc (o, z, len * 4096) );
+            (2, map2 (fun o r -> Assign (o, r)) owner region);
+            (2, map2 (fun o r -> Chown (o, r)) owner region);
+            (4, map (fun r -> Release r) region);
+            (1, map (fun p -> Add_device (p * 4096)) (int_range 1 512));
+          ]
+      in
+      list_size (int_range 1 40) op)
+  in
+  Covirt_test_util.Helpers.qtest ~count:300
+    ~print:(QCheck2.Print.list (Format.asprintf "%a" pp_mem_op))
+    "keyed phys_mem = list model" gen (fun ops ->
+      let topology =
+        Numa.create ~zones:2 ~cores_per_zone:2 ~mem_per_zone:(1024 * mib)
+      in
+      let mem = Phys_mem.create ~topology ~host_reserved_per_zone:(128 * mib) in
+      let model = Ref_mem.create ~topology ~host_reserved_per_zone:(128 * mib) in
+      let devices = ref 0 in
+      let same_result a b =
+        match (a, b) with
+        | Ok x, Ok y -> Region.equal x y
+        | Error _, Error _ -> true
+        | _ -> false
+      in
+      let agree () =
+        let snap = Ref_mem.snapshot model in
+        let probes =
+          List.concat_map
+            (fun (r, _) -> [ r.Region.base; Region.last r; Region.limit r ])
+            snap
+          @ List.init 64 (fun i -> i * 33 * mib)
+        in
+        List.equal
+          (fun (r, o) (r', o') -> Region.equal r r' && Owner.equal o o')
+          (Phys_mem.snapshot mem) snap
+        && List.for_all
+             (fun a -> Owner.equal (Phys_mem.owner_at mem a) (Ref_mem.owner_at model a))
+             probes
+        && Array.for_all
+             (fun o ->
+               Region.Set.equal (Phys_mem.owned_by mem o) (Ref_mem.owned_by model o))
+             model_owners
+        && List.for_all
+             (fun zone ->
+               Phys_mem.free_bytes mem ~zone = Ref_mem.free_bytes model ~zone)
+             [ 0; 1 ]
+      in
+      List.for_all
+        (fun op ->
+          let results_agree =
+            match op with
+            | Alloc (o, zone, len) ->
+                let owner = model_owners.(o) in
+                same_result
+                  (Phys_mem.alloc mem ~owner ~zone ~len)
+                  (Ref_mem.alloc model ~owner ~zone ~len)
+            | Assign (o, r) ->
+                let owner = model_owners.(o) in
+                Result.is_ok (Phys_mem.assign mem ~owner r)
+                = Result.is_ok (Ref_mem.assign model ~owner r)
+            | Chown (o, r) ->
+                Phys_mem.chown mem r model_owners.(o);
+                Ref_mem.chown model r model_owners.(o);
+                true
+            | Release r ->
+                Phys_mem.release mem r;
+                Ref_mem.release model r;
+                true
+            | Add_device len ->
+                incr devices;
+                let name = Printf.sprintf "dev%d" !devices in
+                Region.equal
+                  (Phys_mem.add_device mem ~name ~len)
+                  (Ref_mem.add_device model ~name ~len)
+          in
+          results_agree && agree ())
+        ops)
+
 let () =
   Alcotest.run "hw"
     [
@@ -300,5 +522,6 @@ let () =
           Alcotest.test_case "devices" `Quick test_phys_mem_devices;
           Alcotest.test_case "assign" `Quick test_phys_mem_assign;
           prop_owns_range_matches_frames;
+          prop_phys_mem_matches_list_model;
         ] );
     ]
