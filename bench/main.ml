@@ -1,171 +1,17 @@
 (* The evaluation harness: regenerates every table and figure of the
    paper, the ablation studies, and a set of Bechamel microbenchmarks
-   of Covirt's hot paths.
+   of Covirt's hot paths.  The paper's experiments are the rows of
+   [Covirt_harness.Registry]; this file adds the three host-timed rows
+   that cannot live in lib/ (fleet, loadgen, bechamel) and the
+   persisted pipeline around them: --json, --emit-baseline, --check,
+   --trace-out and --gc-stats (see --help and bench/README.md).
 
    Usage:
-     dune exec bench/main.exe            # everything
-     dune exec bench/main.exe -- fig5    # one experiment
-     dune exec bench/main.exe -- quick   # everything, reduced sizes
-
-   Flags:
-     --json               write BENCH_covirt.json (harness wall-clocks
-                          + Bechamel ns/op estimates)
-     --emit-baseline f    snapshot harness wall-clocks as TSV
-     --check f            exit 1 if any harness regressed >25% vs f
-     --trace-out f        enable observability and write a Chrome
-                          trace_event JSON of the run (do not combine
-                          with --check: tracing adds recording work)
-     --gc-stats f         write per-microbench minor words/op and the
-                          process GC counters as TSV (CI artifact)
-     --domains N          fleet placement for the sharded harnesses
-                          (default Domain.recommended_domain_count);
-                          changes wall-clocks only, never a result byte
-
-   Experiments: table1 fig3 fig4 fig5 fig6 fig7 fig8
-                ablate-coalesce ablate-piv ablate-sync fleet bechamel *)
+     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe -- fig5         # one experiment
+     dune exec bench/main.exe -- --quick      # everything, reduced sizes *)
 
 open Covirt_harness
-
-let section title =
-  Format.printf "@.=== %s ===@.@." title
-
-(* Fleet placement for the sharded harnesses, set by --domains.  This
-   is physical placement only: any value renders the same bytes. *)
-let domains_arg : int option ref = ref None
-
-let run_table1 () =
-  section "Table I: Benchmark Versions and Parameters";
-  let t =
-    Covirt_sim.Table.create ~columns:[ "Benchmark Name"; "Version"; "Parameters" ]
-  in
-  List.iter
-    (fun (name, version, params) ->
-      Covirt_sim.Table.add_row t [ name; version; params ])
-    Experiments.table1;
-  Covirt_sim.Table.print t
-
-let run_fig3 ~quick () =
-  section "Fig. 3: Selfish-Detour noise profiles";
-  let rows = Fig3.run ~quick ?domains:!domains_arg () in
-  Covirt_sim.Table.print_auto (Fig3.table rows);
-  Fig3.print_scatter rows ~duration_s:(if quick then 0.5 else 2.0);
-  Format.printf "@.";
-  Fig3.print_histograms rows;
-  Format.printf
-    "Paper: \"The different configurations show little variation in their@.\
-     noise profiles\" — detour counts are identical; only interrupt@.\
-     delivery stretches under full interception.@."
-
-let run_fig4 ~quick () =
-  section "Fig. 4: XEMEM attach delay vs region size";
-  let points = Fig4.run ~quick () in
-  Covirt_sim.Table.print_auto (Fig4.table points);
-  Format.printf
-    "Paper: \"Covirt imposes little to no overhead for this range of@.\
-     region sizes\" — the controller's coalesced EPT update is masked@.\
-     by the page-frame-list transmission both configurations pay.@."
-
-let run_fig5 ~quick () =
-  section "Fig. 5(a): STREAM";
-  let rows = Fig5.run ~quick ?domains:!domains_arg () in
-  Covirt_sim.Table.print_auto (Fig5.stream_table rows);
-  section "Fig. 5(b): RandomAccess";
-  Covirt_sim.Table.print_auto (Fig5.gups_table rows);
-  Format.printf
-    "Paper: STREAM comparable to native in all configurations;@.\
-     RandomAccess worst case 3.1%% (memory+IPI), memory-only 1.8%%.@."
-
-let run_fig6 ~quick () =
-  section "Fig. 6: MiniFE scaling over CPU-core/NUMA-zone layouts";
-  Covirt_sim.Table.print_auto (Fig6.table (Fig6.run ~quick ()));
-  Format.printf
-    "Paper: \"Covirt imposes little to no overhead on MiniFE across all@.\
-     configurations.\"@."
-
-let run_fig7 ~quick () =
-  section "Fig. 7: HPCG scaling over CPU-core/NUMA-zone layouts";
-  let rows = Fig7.run ~quick () in
-  Covirt_sim.Table.print_auto (Fig7.table rows);
-  Format.printf
-    "Worst overhead across layouts and configs: %.2f%% (paper: 1.4%%).@."
-    (100.0 *. Fig7.worst_overhead rows)
-
-let run_fig8 ~quick () =
-  section "Fig. 8: LAMMPS loop times (8 cores / 2 NUMA zones)";
-  let rows = Fig8.run ~quick () in
-  Covirt_sim.Table.print_auto (Fig8.table rows);
-  Format.printf
-    "Chute most sensitive: %b (paper: \"Chute shows the most sensitivity@.\
-     to the protections being enabled, with the native and no-feature@.\
-     configurations performing the best\").@."
-    (Fig8.chute_is_most_sensitive rows)
-
-let run_ablate_coalesce ~quick () =
-  section "Ablation: EPT large-page coalescing (RandomAccess)";
-  Covirt_sim.Table.print_auto
-    (Ablate.coalescing_table (Ablate.coalescing ~quick ?domains:!domains_arg ()))
-
-let run_ablate_piv () =
-  section "Ablation: posted interrupts vs full APIC virtualization";
-  Covirt_sim.Table.print_auto (Ablate.piv_table (Ablate.piv_vs_full ()))
-
-let run_ablate_sync ~quick () =
-  section "Ablation: asynchronous vs synchronous configuration updates";
-  Covirt_sim.Table.print_auto (Ablate.sync_table (Ablate.sync_vs_async ~quick ()))
-
-let run_compare ~quick () =
-  section "Comparison: Covirt vs traditional virtualization (Fig. 1b)";
-  Covirt_sim.Table.print_auto (Compare_virt.ipc_table (Compare_virt.ipc ()));
-  Covirt_sim.Table.print_auto (Compare_virt.sharing_table (Compare_virt.sharing ~quick ()));
-  Format.printf
-    "Covirt's IPC rides shared identity mappings with only a whitelist@.\
-     check on the doorbell; full virtualization pays two exit pairs and@.\
-     a hypervisor copy per message, and a balloon/remap round trip for@.\
-     every sharing-topology change.@."
-
-let run_isolation ~quick () =
-  section "Performance isolation: bandwidth pressure across the partition";
-  Covirt_sim.Table.print_auto (Isolation.table (Isolation.run ~quick ()));
-  Format.printf
-    "Pressure in the other NUMA zone is free; pressure in the enclave's@.\
-     own zone costs the same with and without Covirt — protection@.\
-     neither causes nor cures bandwidth interference.@."
-
-let run_campaign ~quick () =
-  section "Fault-injection campaign: containment rates by configuration";
-  let trials = if quick then 25 else 60 in
-  Covirt_sim.Table.print_auto
-    (Campaign.table (Campaign.run ~trials ?domains:!domains_arg ()));
-  Format.printf
-    "Random faults from the paper's taxonomy against a two-tenant node.@.\
-     Each feature contains exactly its own fault classes (mem: wild@.\
-     writes; ipi: errant vectors; msr+io: register/port abuse; the@.\
-     base hypervisor: aborts) — with every feature on, no fault kills@.\
-     the node or touches the other tenant; the residue is latent@.\
-     writes to free memory inside the attacker's own blast radius.@."
-
-let run_noise () =
-  section "OS noise: host Linux core vs LWK enclave vs protected enclave";
-  Covirt_sim.Table.print_auto (Noise_compare.table (Noise_compare.run ()));
-  Format.printf
-    "The LWK buys orders of magnitude in noise; Covirt does not give@.\
-     it back.@."
-
-let run_scale ~quick () =
-  section "Scale: protection cost vs co-resident enclave count";
-  Covirt_sim.Table.print_auto
-    (Scale.table (Scale.run ~quick ?domains:!domains_arg ()));
-  Format.printf
-    "Per-core hypervisor contexts and per-enclave EPTs: the protection@.\
-     cost each enclave pays is independent of its neighbours.@."
-
-let run_kernels () =
-  section "Generalizability: the co-kernel architecture matrix";
-  Covirt_sim.Table.print_auto (Kernels.table (Kernels.matrix ()));
-  Format.printf
-    "Three kernel architectures from different points of the paper's@.\
-     integration axis, all protected by the same controller with zero@.\
-     kernel-specific code.@."
 
 (* ------------------------------------------------------------------ *)
 (* The dense-node load generator: Zipf-skewed control-plane churn under
@@ -175,13 +21,12 @@ let run_kernels () =
 
 let loadgen_p99_ns : float option ref = ref None
 
-let run_loadgen ~quick () =
-  section "Loadgen: dense-node control-plane churn (Zipf, admission)";
+let loadgen ~quick ~domains =
   let module L = Covirt_loadgen.Loadgen in
   let tenants = if quick then 128 else 512 in
   let ops = if quick then 1024 else 4096 in
   let spec = L.spec ~tenants ~ops ~shards:8 ~seed:2026 () in
-  let r = L.run ?domains:!domains_arg spec in
+  let r = L.run ?domains spec in
   let t = L.totals r in
   let tbl =
     Covirt_sim.Table.create ~columns:[ "metric"; "value" ]
@@ -199,22 +44,26 @@ let run_loadgen ~quick () =
       ("verifier violations", string_of_int (L.violations r));
       ("audit", if L.ok r then "clean" else "FAILED");
     ];
-  Covirt_sim.Table.print tbl;
-  loadgen_p99_ns := Some (L.quantile_ns r ~p:99.)
+  loadgen_p99_ns := Some (L.quantile_ns r ~p:99.);
+  Registry.(
+    report
+      [ Title "Loadgen: dense-node control-plane churn (Zipf, admission)";
+        Table tbl ])
 
 (* ------------------------------------------------------------------ *)
 (* The fleet experiment: the one place wall-clock is the measurement.
    A sharded soak runs once on a single domain and once on the fleet;
    the rendered result tables must be byte-identical (the determinism
-   contract), and the wall-clock ratio is recorded as fleet_speedup. *)
+   contract), and the wall-clock ratio is recorded as fleet_speedup.
+   When the placement resolves to one domain both runs use the same
+   placement, so their ratio is noise and is not recorded. *)
 
 let fleet_speedup : float option ref = ref None
 let fleet_domains : int option ref = ref None
 
-let run_fleet ~quick () =
-  section "Fleet: domain-sharded soak, determinism and wall-clock speedup";
+let fleet ~quick ~domains =
   let domains =
-    match !domains_arg with
+    match domains with
     | Some d -> d
     | None -> Covirt_fleet.Fleet.recommended_domains ()
   in
@@ -230,7 +79,15 @@ let run_fleet ~quick () =
   let seq_out, seq_t = soak 1 in
   let par_out, par_t = soak domains in
   let speedup = seq_t /. Float.max par_t 1e-9 in
-  fleet_speedup := Some speedup;
+  if domains > 1 then fleet_speedup := Some speedup;
+  let same = String.equal seq_out par_out in
+  if not same then begin
+    Format.eprintf
+      "fleet: DETERMINISM VIOLATION — domains:1 and domains:%d rendered \
+       different soak tables@."
+      domains;
+    exit 1
+  end;
   let t =
     Covirt_sim.Table.create ~columns:[ "domains"; "wall s"; "speedup" ]
   in
@@ -238,17 +95,14 @@ let run_fleet ~quick () =
   Covirt_sim.Table.add_row t
     [ string_of_int domains; Printf.sprintf "%.2f" par_t;
       Printf.sprintf "%.2fx" speedup ];
-  Covirt_sim.Table.print t;
-  Format.printf
-    "%d-shard soak (%d trials), byte-identical across placements: %b@."
-    shards trials (String.equal seq_out par_out);
-  if not (String.equal seq_out par_out) then begin
-    Format.eprintf
-      "fleet: DETERMINISM VIOLATION — domains:1 and domains:%d rendered \
-       different soak tables@."
-      domains;
-    exit 1
-  end
+  Registry.(
+    report
+      [ Title "Fleet: domain-sharded soak, determinism and wall-clock speedup";
+        Table t;
+        Text
+          (Printf.sprintf
+             "%d-shard soak (%d trials), byte-identical across placements: %b\n"
+             shards trials same) ])
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks of the hot paths.  Each is one closure measured two
@@ -489,9 +343,9 @@ let measure_alloc ms =
         [ m.mname; Printf.sprintf "%.4f" w;
           (if m.gate then "= 0" else "-"); Printf.sprintf "%.1f" ns ])
     ms;
-  Covirt_sim.Table.print t;
-  if not native then
-    Format.printf "(bytecode backend: allocation gate not enforced)@."
+  Registry.Table t
+  :: (if native then []
+      else [ Registry.Text "(bytecode backend: allocation gate not enforced)\n" ])
 
 let check_alloc_gate () =
   match !alloc_failures with
@@ -510,8 +364,7 @@ let check_alloc_gate () =
         fs;
       exit 1
 
-let run_bechamel () =
-  section "Bechamel microbenchmarks (host-side hot paths, real ns)";
+let bechamel ~quick:_ ~domains:_ =
   let ms = microbenches () in
   let open Bechamel in
   let open Toolkit in
@@ -548,9 +401,12 @@ let run_bechamel () =
           Covirt_sim.Table.add_row t [ name; estimate; r2 ])
         analysis)
     ms;
-  Covirt_sim.Table.print t;
-  section "Minor allocation per operation (Gc.minor_words delta)";
-  measure_alloc ms
+  Registry.(
+    report
+      (Title "Bechamel microbenchmarks (host-side hot paths, real ns)"
+       :: Table t
+       :: Title "Minor allocation per operation (Gc.minor_words delta)"
+       :: measure_alloc ms))
 
 (* ------------------------------------------------------------------ *)
 (* The persisted benchmark pipeline: every experiment's wall-clock is
@@ -564,12 +420,11 @@ let harness_timings : (string * float) list ref = ref []
 (* With --trace-out, observability is on: each experiment becomes a
    profiler phase, and its metrics snapshot-diff is summarised after
    the run (the same diff API the soak and the --check gate use). *)
-let tracing = ref false
 let exp_deltas : (string * Covirt_obs.Metrics.snapshot) list ref = ref []
 
-let timed name f =
+let timed ~tracing name f =
   let before =
-    if !tracing then begin
+    if tracing then begin
       Covirt_obs.Profiler.set_phase name;
       Some (Covirt_obs.Metrics.snapshot ())
     end
@@ -588,7 +443,6 @@ let timed name f =
     before
 
 let print_obs_summary () =
-  section "Observability summary (per experiment)";
   let t =
     Covirt_sim.Table.create
       ~columns:[ "experiment"; "vm exits"; "tlb miss"; "ept walk miss";
@@ -601,30 +455,17 @@ let print_obs_summary () =
         [ name; c "vmexit.count"; c "tlb.lookup.miss"; c "ept.walk.miss";
           c "fault.report" ])
     (List.rev !exp_deltas);
-  Covirt_sim.Table.print t
+  Registry.(
+    print (report [ Title "Observability summary (per experiment)"; Table t ]))
 
-let experiments ~quick =
-  [
-    ("table1", run_table1);
-    ("fig3", run_fig3 ~quick);
-    ("fig4", run_fig4 ~quick);
-    ("fig5", run_fig5 ~quick);
-    ("fig6", run_fig6 ~quick);
-    ("fig7", run_fig7 ~quick);
-    ("fig8", run_fig8 ~quick);
-    ("ablate-coalesce", run_ablate_coalesce ~quick);
-    ("ablate-piv", run_ablate_piv);
-    ("ablate-sync", run_ablate_sync ~quick);
-    ("compare", run_compare ~quick);
-    ("noise", run_noise);
-    ("campaign", run_campaign ~quick);
-    ("isolation", run_isolation ~quick);
-    ("scale", run_scale ~quick);
-    ("kernels", run_kernels);
-    ("fleet", run_fleet ~quick);
-    ("loadgen", run_loadgen ~quick);
-    ("bechamel", run_bechamel);
-  ]
+(* The paper's experiments, then the host-timed rows. *)
+let rows =
+  Registry.all
+  @ [
+      { Registry.name = "fleet"; run = fleet };
+      { Registry.name = "loadgen"; run = loadgen };
+      { Registry.name = "bechamel"; run = bechamel };
+    ]
 
 let json_path = "BENCH_covirt.json"
 
@@ -705,6 +546,15 @@ let check_baseline path =
          | None -> ()
      done
    with End_of_file -> close_in ic);
+  (* A baseline row no experiment answers to (a renamed or removed
+     experiment) would otherwise drop out of the gate silently. *)
+  let unknown =
+    List.filter
+      (fun (name, _) ->
+        name <> "loadgen_p99_ns"
+        && not (List.exists (fun r -> String.equal r.Registry.name name) rows))
+      (List.rev !baseline)
+  in
   let failures =
     List.filter_map
       (fun (name, base) ->
@@ -726,11 +576,15 @@ let check_baseline path =
           | _ -> None)
       !baseline
   in
-  match failures with
-  | [] ->
+  match (failures, unknown) with
+  | [], [] ->
       Format.printf "@.bench --check: all harness wall-clocks within %.0f%%@."
         (100.0 *. (regression_threshold -. 1.0))
-  | fs ->
+  | fs, unknown ->
+      List.iter
+        (fun (n, _) ->
+          Format.eprintf "bench --check: baseline row %S names no experiment@." n)
+        unknown;
       List.iter
         (fun (n, b, c) ->
           Format.eprintf "bench --check: REGRESSION %s: %.2fs -> %.2fs (+%.0f%%)@."
@@ -738,73 +592,97 @@ let check_baseline path =
         fs;
       exit 1
 
+let main selected quick json tsv check baseline_out trace_out gc_stats domains =
+  if check <> None && trace_out <> None then
+    `Error
+      (true,
+       "--trace-out cannot be combined with --check: tracing adds \
+        recording work to the measured wall-clocks")
+  else begin
+    Covirt_sim.Table.set_tsv_mode tsv;
+    let tracing = trace_out <> None in
+    if tracing then begin
+      Covirt_obs.enable ();
+      Covirt_obs.Exporter.enable ()
+    end;
+    List.iter
+      (fun r ->
+        timed ~tracing r.Registry.name (fun () ->
+            Registry.print (r.Registry.run ~quick ~domains)))
+      (if selected = [] then rows else selected);
+    if json then write_json ~quick;
+    Option.iter
+      (fun path ->
+        print_obs_summary ();
+        Covirt_obs.Exporter.write_chrome_json ~path;
+        Format.printf "@.wrote %d trace events to %s (%d dropped)@."
+          (Covirt_obs.Exporter.length ()) path (Covirt_obs.Exporter.dropped ()))
+      trace_out;
+    Option.iter emit_baseline baseline_out;
+    Option.iter write_gc_stats gc_stats;
+    (* The allocation gate is deterministic (no wall-clock noise), so it
+       runs whenever the bechamel experiment did. *)
+    check_alloc_gate ();
+    Option.iter check_baseline check;
+    `Ok ()
+  end
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let quick = List.mem "quick" args in
-  let json = List.mem "--json" args in
-  Covirt_sim.Table.set_tsv_mode (List.mem "--tsv" args);
-  let gc_stats_out : string option ref = ref None in
-  let rec parse names check baseline_out trace_out = function
-    | [] -> (List.rev names, check, baseline_out, trace_out)
-    | "--check" :: path :: rest ->
-        parse names (Some path) baseline_out trace_out rest
-    | "--emit-baseline" :: path :: rest ->
-        parse names check (Some path) trace_out rest
-    | "--trace-out" :: path :: rest ->
-        parse names check baseline_out (Some path) rest
-    | "--gc-stats" :: path :: rest ->
-        gc_stats_out := Some path;
-        parse names check baseline_out trace_out rest
-    | "--domains" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some d when d >= 1 ->
-            domains_arg := Some d;
-            parse names check baseline_out trace_out rest
-        | _ ->
-            Format.eprintf "--domains needs a positive integer, got %S@." n;
-            exit 1)
-    | ("--check" | "--emit-baseline" | "--trace-out" | "--domains"
-      | "--gc-stats") :: [] ->
-        Format.eprintf
-          "--check/--emit-baseline/--trace-out/--domains/--gc-stats need an \
-           argument@.";
-        exit 1
-    | ("quick" | "--tsv" | "--json") :: rest ->
-        parse names check baseline_out trace_out rest
-    | a :: rest -> parse (a :: names) check baseline_out trace_out rest
+  let open Cmdliner in
+  let experiments =
+    let named = List.map (fun r -> (r.Registry.name, r)) rows in
+    let doc =
+      Printf.sprintf "Experiments to run, in order (default: all): %s."
+        (Arg.doc_alts_enum named)
+    in
+    Arg.(value & pos_all (enum named) [] & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let names, check, baseline_out, trace_out = parse [] None None None args in
-  if trace_out <> None then begin
-    tracing := true;
-    Covirt_obs.enable ();
-    Covirt_obs.Exporter.enable ()
-  end;
-  let table = experiments ~quick in
-  (match names with
-  | [] -> List.iter (fun (name, f) -> timed name f) table
-  | names ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name table with
-          | Some f -> timed name f
-          | None ->
-              Format.eprintf
-                "unknown experiment %S (try: table1 fig3..fig8 \
-                 ablate-coalesce ablate-piv ablate-sync fleet bechamel)@."
-                name;
-              exit 1)
-        names);
-  if json then write_json ~quick;
-  Option.iter
-    (fun path ->
-      print_obs_summary ();
-      Covirt_obs.Exporter.write_chrome_json ~path;
-      Format.printf "@.wrote %d trace events to %s (%d dropped)@."
-        (Covirt_obs.Exporter.length ()) path (Covirt_obs.Exporter.dropped ()))
-    trace_out;
-  Option.iter emit_baseline baseline_out;
-  Option.iter write_gc_stats !gc_stats_out;
-  (* The allocation gate is deterministic (no wall-clock noise), so it
-     runs whenever the bechamel experiment did. *)
-  check_alloc_gate ();
-  Option.iter check_baseline check
+  let flag names doc = Arg.(value & flag & info names ~doc) in
+  let file name doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+  in
+  let domains =
+    let positive =
+      Arg.conv
+        ( (fun s ->
+            match int_of_string_opt s with
+            | Some d when d >= 1 -> Ok d
+            | _ ->
+                Error
+                  (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
+          Format.pp_print_int )
+    in
+    let doc =
+      "Fleet placement for the sharded harnesses (default \
+       Domain.recommended_domain_count).  Changes wall-clocks only, never \
+       a result byte."
+    in
+    Arg.(value & opt (some positive) None & info [ "domains" ] ~docv:"N" ~doc)
+  in
+  let term =
+    Term.(
+      ret
+        (const main $ experiments
+        $ flag [ "quick"; "q" ] "Use reduced problem sizes."
+        $ flag [ "json" ]
+            "Write BENCH_covirt.json: harness wall-clocks and microbench \
+             estimates."
+        $ flag [ "tsv" ] "Render tables tab-separated."
+        $ file "check"
+            "Exit 1 if any harness wall-clock regressed more than 25% \
+             against the baseline $(docv)."
+        $ file "emit-baseline" "Snapshot the harness wall-clocks as TSV."
+        $ file "trace-out"
+            "Enable observability and write a Chrome trace_event JSON of \
+             the run.  Rejected with $(b,--check)."
+        $ file "gc-stats"
+            "Write per-microbench minor words/op and the process GC \
+             counters as TSV."
+        $ domains))
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "bench"
+             ~doc:"Regenerate the paper's tables and figures and gate host cost")
+          term))

@@ -43,97 +43,22 @@ let config =
 
 (* --- experiment --- *)
 
-let experiment_names =
-  [ "table1"; "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8";
-    "ablate-coalesce"; "ablate-piv"; "ablate-sync"; "compare"; "kernels";
-    "noise"; "scale"; "campaign"; "isolation" ]
-
-let run_experiment name quick domains =
-  let open Covirt_harness in
-  match name with
-  | "table1" ->
-      let t =
-        Covirt_sim.Table.create
-          ~columns:[ "Benchmark Name"; "Version"; "Parameters" ]
-      in
-      List.iter (fun (n, v, p) -> Covirt_sim.Table.add_row t [ n; v; p ])
-        Experiments.table1;
-      Covirt_sim.Table.print t;
-      Ok ()
-  | "fig3" ->
-      let rows = Fig3.run ~quick ?domains () in
-      Covirt_sim.Table.print (Fig3.table rows);
-      Fig3.print_histograms rows;
-      Ok ()
-  | "fig4" ->
-      Covirt_sim.Table.print (Fig4.table (Fig4.run ~quick ()));
-      Ok ()
-  | "fig5" ->
-      let rows = Fig5.run ~quick ?domains () in
-      Covirt_sim.Table.print (Fig5.stream_table rows);
-      Covirt_sim.Table.print (Fig5.gups_table rows);
-      Ok ()
-  | "fig6" ->
-      Covirt_sim.Table.print (Fig6.table (Fig6.run ~quick ()));
-      Ok ()
-  | "fig7" ->
-      let rows = Fig7.run ~quick () in
-      Covirt_sim.Table.print (Fig7.table rows);
-      Format.printf "worst overhead: %.2f%%@." (100.0 *. Fig7.worst_overhead rows);
-      Ok ()
-  | "fig8" ->
-      Covirt_sim.Table.print (Fig8.table (Fig8.run ~quick ()));
-      Ok ()
-  | "ablate-coalesce" ->
-      Covirt_sim.Table.print
-        (Ablate.coalescing_table (Ablate.coalescing ~quick ?domains ()));
-      Ok ()
-  | "ablate-piv" ->
-      Covirt_sim.Table.print (Ablate.piv_table (Ablate.piv_vs_full ()));
-      Ok ()
-  | "ablate-sync" ->
-      Covirt_sim.Table.print (Ablate.sync_table (Ablate.sync_vs_async ~quick ()));
-      Ok ()
-  | "compare" ->
-      Covirt_sim.Table.print (Compare_virt.ipc_table (Compare_virt.ipc ()));
-      Covirt_sim.Table.print
-        (Compare_virt.sharing_table (Compare_virt.sharing ~quick ()));
-      Ok ()
-  | "kernels" ->
-      Covirt_sim.Table.print (Kernels.table (Kernels.matrix ()));
-      Ok ()
-  | "noise" ->
-      Covirt_sim.Table.print (Noise_compare.table (Noise_compare.run ()));
-      Ok ()
-  | "scale" ->
-      Covirt_sim.Table.print (Scale.table (Scale.run ~quick ?domains ()));
-      Ok ()
-  | "campaign" ->
-      Covirt_sim.Table.print
-        (Campaign.table
-           (Campaign.run ~trials:(if quick then 25 else 60) ?domains ()));
-      Ok ()
-  | "isolation" ->
-      Covirt_sim.Table.print (Isolation.table (Isolation.run ~quick ()));
-      Ok ()
-  | other ->
-      Error
-        (Printf.sprintf "unknown experiment %S (expected: %s)" other
-           (String.concat ", " experiment_names))
-
 let experiment_cmd =
+  let open Covirt_harness in
   let name_arg =
-    let doc = "Experiment to run: table1, fig3..fig8 or ablate-*." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
+    let rows = List.map (fun r -> (r.Registry.name, r)) Registry.all in
+    let doc =
+      Printf.sprintf "Experiment to run: %s." (Arg.doc_alts_enum rows)
+    in
+    Arg.(required & pos 0 (some (enum rows)) None
+         & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let run name quick domains =
-    match run_experiment name quick domains with
-    | Ok () -> `Ok ()
-    | Error msg -> `Error (false, msg)
+  let run row quick domains =
+    Registry.print (row.Registry.run ~quick ~domains)
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper")
-    Term.(ret (const run $ name_arg $ quick $ domains))
+    Term.(const run $ name_arg $ quick $ domains)
 
 (* --- demo --- *)
 

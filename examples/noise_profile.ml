@@ -12,4 +12,4 @@ let () =
      it only stretches interrupt delivery slightly:@.@.";
   let rows = Covirt_harness.Fig3.run () in
   Covirt_sim.Table.print (Covirt_harness.Fig3.table rows);
-  Covirt_harness.Fig3.print_histograms rows
+  print_string (Covirt_harness.Fig3.histograms rows)

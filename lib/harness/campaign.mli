@@ -17,8 +17,6 @@
     exactly its fault classes; the full configuration contains
     everything. *)
 
-type outcome = Contained | Node_down | Collateral | Latent
-
 type row = {
   config : string;
   trials : int;

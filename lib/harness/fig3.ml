@@ -72,18 +72,20 @@ let table rows =
     rows;
   t
 
-let print_histograms rows =
-  List.iter
-    (fun r ->
-      Format.printf "-- %s --@.%a@." r.config Covirt_sim.Histogram.pp
-        r.histogram)
-    rows
+let histograms rows =
+  String.concat ""
+    (List.map
+       (fun r ->
+         Format.asprintf "-- %s --@.%a@." r.config Covirt_sim.Histogram.pp
+           r.histogram)
+       rows)
 
-let print_scatter rows ~duration_s =
+let scatter rows ~duration_s =
   (* time on the x axis (columns), detour magnitude as a glyph: the
      shape of the paper's Fig. 3 panels *)
   let columns = 72 in
   let duration_us = duration_s *. 1e6 in
+  let buf = Buffer.create 1024 in
   List.iter
     (fun row ->
       let cells = Array.make columns ' ' in
@@ -105,8 +107,10 @@ let print_scatter rows ~duration_s =
           in
           if rank glyph > rank cells.(col) then cells.(col) <- glyph)
         row.detours;
-      Format.printf "%-8s |%s|@." row.config (String.init columns (Array.get cells)))
+      Printf.bprintf buf "%-8s |%s|\n" row.config
+        (String.init columns (Array.get cells)))
     rows;
-  Format.printf "%-8s  %s@." "" (String.make columns '-');
-  Format.printf "%-8s  0s%*s@." "" (columns - 2)
-    (Format.asprintf "%.1fs" duration_s)
+  Printf.bprintf buf "%-8s  %s\n" "" (String.make columns '-');
+  Printf.bprintf buf "%-8s  0s%*s\n" "" (columns - 2)
+    (Printf.sprintf "%.1fs" duration_s);
+  Buffer.contents buf

@@ -26,8 +26,10 @@ val run : ?quick:bool -> ?seed:int -> ?domains:int -> unit -> row list
     [domains]. *)
 
 val table : row list -> Covirt_sim.Table.t
-val print_histograms : row list -> unit
+val histograms : row list -> string
+(** Each configuration's log-bucketed detour-duration histogram, under
+    a [-- config --] heading. *)
 
-val print_scatter : row list -> duration_s:float -> unit
+val scatter : row list -> duration_s:float -> string
 (** ASCII rendering of the paper's actual plot: detour occurrences over
     time, magnitude encoded as . : * # (quartiles of the log range). *)

@@ -6,8 +6,4 @@
     prefetch window, and its sparse synchronization keeps
     interrupt-path costs invisible. *)
 
-type cell = { config : string; gflops : float; overhead : float }
-type row = { layout : string; cells : cell list }
-
-val run : ?quick:bool -> ?seed:int -> unit -> row list
-val table : row list -> Covirt_sim.Table.t
+val run : ?quick:bool -> ?seed:int -> unit -> Layout_sweep.row list

@@ -5,10 +5,4 @@
     hardware layout configurations ... in the worst case, Covirt only
     degrades HPCG's performance by 1.4%." *)
 
-type cell = { config : string; gflops : float; overhead : float }
-type row = { layout : string; cells : cell list }
-
-val run : ?quick:bool -> ?seed:int -> unit -> row list
-val table : row list -> Covirt_sim.Table.t
-val worst_overhead : row list -> float
-(** Worst overhead across every layout and non-native config. *)
+val run : ?quick:bool -> ?seed:int -> unit -> Layout_sweep.row list

@@ -10,108 +10,33 @@ open Covirt_hw
 let mib = Covirt_sim.Units.mib
 let gib = Covirt_sim.Units.gib
 
-let section buf name =
-  Buffer.add_string buf ("\n== " ^ name ^ " ==\n")
+(* The registry experiments the capture pins, in capture order.  The
+   campaign is pinned separately at 30 trials. *)
+let shared =
+  [ "fig3"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "ablate-coalesce";
+    "ablate-piv"; "ablate-sync"; "compare"; "noise"; "scale"; "kernels";
+    "isolation" ]
 
-let table buf t = Buffer.add_string buf (Covirt_sim.Table.render t)
+let header buf name = Buffer.add_string buf ("\n== " ^ name ^ " ==\n")
 
 let linef buf fmt = Format.kasprintf (Buffer.add_string buf) (fmt ^^ "@\n")
 
-(* Exact float: tables round to 4 significant digits, which could mask
-   a small perturbation; the raw rows are dumped at full precision. *)
+(* A registry section: the report's tables, rendered, then its golden
+   lines.  Titles and captions are presentation and stay out. *)
+let section buf name (r : Registry.report) =
+  header buf name;
+  List.iter
+    (function
+      | Registry.Table t -> Buffer.add_string buf (Covirt_sim.Table.render t)
+      | Registry.Title _ | Registry.Text _ -> ())
+    r.blocks;
+  List.iter (linef buf "%s") r.lines
+
+(* Exact float, as in the registry's golden lines. *)
 let f = Printf.sprintf "%.17g"
 
-let figures ?domains buf =
-  section buf "fig3";
-  let rows = Fig3.run ~quick:true ?domains () in
-  table buf (Fig3.table rows);
-  List.iter
-    (fun (r : Fig3.row) ->
-      linef buf "fig3 %s detours=%d noise=%s" r.Fig3.config r.Fig3.detour_count
-        (f r.Fig3.noise_fraction))
-    rows;
-  section buf "fig4";
-  let points = Fig4.run ~quick:true () in
-  table buf (Fig4.table points);
-  List.iter
-    (fun (p : Fig4.point) ->
-      linef buf "fig4 native_us=%s covirt_us=%s overhead=%s" (f p.Fig4.native_us)
-        (f p.Fig4.covirt_us) (f p.Fig4.overhead))
-    points;
-  section buf "fig5";
-  let rows = Fig5.run ~quick:true ?domains () in
-  table buf (Fig5.stream_table rows);
-  table buf (Fig5.gups_table rows);
-  List.iter
-    (fun (r : Fig5.row) ->
-      linef buf "fig5 %s triad=%s copy=%s gups=%s so=%s go=%s" r.Fig5.config
-        (f r.Fig5.triad_mb_s) (f r.Fig5.copy_mb_s) (f r.Fig5.gups)
-        (f r.Fig5.stream_overhead) (f r.Fig5.gups_overhead))
-    rows;
-  section buf "fig6";
-  let rows = Fig6.run ~quick:true () in
-  table buf (Fig6.table rows);
-  List.iter
-    (fun (r : Fig6.row) ->
-      List.iter
-        (fun (c : Fig6.cell) ->
-          linef buf "fig6 %s %s gflops=%s overhead=%s" r.Fig6.layout
-            c.Fig6.config (f c.Fig6.gflops) (f c.Fig6.overhead))
-        r.Fig6.cells)
-    rows;
-  section buf "fig7";
-  let rows = Fig7.run ~quick:true () in
-  table buf (Fig7.table rows);
-  List.iter
-    (fun (r : Fig7.row) ->
-      List.iter
-        (fun (c : Fig7.cell) ->
-          linef buf "fig7 %s %s gflops=%s overhead=%s" r.Fig7.layout
-            c.Fig7.config (f c.Fig7.gflops) (f c.Fig7.overhead))
-        r.Fig7.cells)
-    rows;
-  section buf "fig8";
-  let rows = Fig8.run ~quick:true () in
-  table buf (Fig8.table rows);
-  List.iter
-    (fun (r : Fig8.row) ->
-      List.iter
-        (fun (c : Fig8.cell) ->
-          linef buf "fig8 %s %s loop_s=%s overhead=%s" r.Fig8.bench
-            c.Fig8.config (f c.Fig8.loop_seconds) (f c.Fig8.overhead))
-        r.Fig8.cells)
-    rows
-
-let studies ?domains buf =
-  section buf "ablate-coalesce";
-  table buf (Ablate.coalescing_table (Ablate.coalescing ~quick:true ?domains ()));
-  section buf "ablate-piv";
-  table buf (Ablate.piv_table (Ablate.piv_vs_full ()));
-  section buf "ablate-sync";
-  table buf (Ablate.sync_table (Ablate.sync_vs_async ~quick:true ()));
-  section buf "compare";
-  table buf (Compare_virt.ipc_table (Compare_virt.ipc ()));
-  table buf (Compare_virt.sharing_table (Compare_virt.sharing ~quick:true ()));
-  section buf "noise";
-  table buf (Noise_compare.table (Noise_compare.run ()));
-  section buf "scale";
-  table buf (Scale.table (Scale.run ~quick:true ?domains ()));
-  section buf "kernels";
-  table buf (Kernels.table (Kernels.matrix ()));
-  section buf "isolation";
-  table buf (Isolation.table (Isolation.run ~quick:true ()));
-  section buf "campaign";
-  let rows = Campaign.run ~trials:30 ?domains () in
-  table buf (Campaign.table rows);
-  List.iter
-    (fun (r : Campaign.row) ->
-      linef buf "campaign %s contained=%d down=%d collateral=%d latent=%d"
-        r.Campaign.config r.Campaign.contained r.Campaign.node_down
-        r.Campaign.collateral r.Campaign.latent)
-    rows
-
 let soak ?domains buf =
-  section buf "soak";
+  header buf "soak";
   let r = Covirt_resilience.Soak.run ~trials:60 ~seed:2026 ?domains () in
   linef buf "soak faults=%d fatal_recoveries=%d wedges=%d/%d budget=%b"
     r.Covirt_resilience.Soak.faults_injected
@@ -132,7 +57,7 @@ let soak ?domains buf =
    values at the end pin the cycle-exact behaviour of the granular
    translation path. *)
 let granular buf =
-  section buf "granular";
+  header buf "granular";
   let machine =
     Machine.create ~seed:11 ~zones:2 ~cores_per_zone:2
       ~mem_per_zone:(2 * gib) ~host_reserved_per_zone:(128 * mib) ()
@@ -200,7 +125,7 @@ let granular buf =
    must be a pure function of the shard seeds — the same whether the
    four shards ran on one domain or eight. *)
 let soak_sharded ?domains buf =
-  section buf "soak-sharded";
+  header buf "soak-sharded";
   let r = Covirt_resilience.Soak.run ~trials:60 ~seed:2026 ~shards:4 ?domains () in
   linef buf "soak4 faults=%d fatal_recoveries=%d wedges=%d/%d budget=%b"
     r.Covirt_resilience.Soak.faults_injected
@@ -215,8 +140,10 @@ let soak_sharded ?domains buf =
 
 let capture ?domains () =
   let buf = Buffer.create (1 lsl 16) in
-  figures ?domains buf;
-  studies ?domains buf;
+  List.iter
+    (fun name -> section buf name ((Registry.find name).run ~quick:true ~domains))
+    shared;
+  section buf "campaign" (Registry.campaign ~trials:30 ~domains);
   soak ?domains buf;
   soak_sharded ?domains buf;
   granular buf;

@@ -9,6 +9,12 @@ let test_table1_contents () =
     (List.exists (fun (n, v, _) -> n = "LAMMPS" && v = "3 Mar 2020")
        Experiments.table1)
 
+let test_registry_names_unique () =
+  let names = List.map (fun r -> r.Registry.name) Registry.all in
+  Alcotest.(check (list string)) "no name twice"
+    (List.sort_uniq String.compare names)
+    (List.sort String.compare names)
+
 let test_layouts () =
   Alcotest.(check int) "four layouts" 4 (List.length Experiments.scaling_layouts);
   List.iter
@@ -82,22 +88,24 @@ let test_fig6_minife_flat () =
       List.iter
         (fun cell ->
           Alcotest.(check bool)
-            (row.Fig6.layout ^ "/" ^ cell.Fig6.config ^ " flat")
+            (row.Layout_sweep.layout ^ "/" ^ cell.Layout_sweep.config
+           ^ " flat")
             true
-            (Float.abs cell.Fig6.overhead < 0.005))
-        row.Fig6.cells)
+            (Float.abs cell.Layout_sweep.overhead < 0.005))
+        row.Layout_sweep.cells)
     rows;
   (* scaling: 8 cores beat 1 core *)
   let gflops_of layout =
-    let row = List.find (fun r -> r.Fig6.layout = layout) rows in
-    (List.find (fun c -> c.Fig6.config = "native") row.Fig6.cells).Fig6.gflops
+    let row = List.find (fun r -> r.Layout_sweep.layout = layout) rows in
+    (List.find (fun c -> c.Layout_sweep.config = "native") row.Layout_sweep.cells)
+      .Layout_sweep.gflops
   in
   Alcotest.(check bool) "scales with cores" true
     (gflops_of "8 cores / 2 zones" > gflops_of "1 core / 1 zone")
 
 let test_fig7_hpcg_bounded () =
   let rows = Fig7.run ~quick:true () in
-  let worst = Fig7.worst_overhead rows in
+  let worst = Layout_sweep.worst_overhead rows in
   Alcotest.(check bool) "worst in [0.5%, 2%]" true (worst > 0.005 && worst < 0.02);
   (* overhead present in every covirt config (the baseline-penalty
      observation) but never large *)
@@ -105,8 +113,9 @@ let test_fig7_hpcg_bounded () =
     (fun row ->
       List.iter
         (fun cell ->
-          Alcotest.(check bool) "bounded" true (cell.Fig7.overhead < 0.02))
-        row.Fig7.cells)
+          Alcotest.(check bool) "bounded" true
+            (cell.Layout_sweep.overhead < 0.02))
+        row.Layout_sweep.cells)
     rows
 
 let test_fig8_chute_sensitivity () =
@@ -194,6 +203,8 @@ let () =
         [
           Alcotest.test_case "table1" `Quick test_table1_contents;
           Alcotest.test_case "layouts" `Quick test_layouts;
+          Alcotest.test_case "registry names unique" `Quick
+            test_registry_names_unique;
         ] );
       ( "figures",
         [
